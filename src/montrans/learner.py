@@ -10,6 +10,12 @@ with no closure or consistency defect assembles into a hypothesis machine,
 which an equivalence oracle either accepts or refutes with a counterexample
 word whose prefixes are then added to ``Q``.
 
+Residual rows are canonical: two rows that agree up to an invertible left
+factor have equal residuals.  So two prefixes have *merged rows*, and stand
+for the same hypothesis state, exactly when their reduced state rows are
+equal tuples; defect search and hypothesis construction index the state
+rows by that tuple.
+
 Consistency defects come in three kinds, checked in a fixed order:
 
 * ``TOT`` -- a definedness mismatch: a prefix whose row is nowhere defined
@@ -29,14 +35,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .errors import BudgetExceeded, InternalInconsistency
-from .monoid import (
-    Element,
-    Monoid,
-    PartialValue,
-    lgcd_family,
-    red_row,
-    rows_equal_up_to_left_invertible,
-)
+from .monoid import Monoid, PartialValue, lgcd_family, red_row
 from .transducer import Transducer, Word
 
 #: Answers the target function's value on a word (``None`` for undefined).
@@ -169,19 +168,12 @@ def _is_bottom(row: tuple) -> bool:
     return all(v is None for v in row)
 
 
-def _merged_pairs(table: ObservationTable) -> dict[Word, list[tuple[Word, Element]]]:
-    """For each prefix, the other prefixes whose state rows match it up to an
-    invertible left factor (with the witness)."""
-    m = table.monoid
-    rows = {q: table.row(q) for q in table.prefixes}
-    out: dict[Word, list[tuple[Word, Element]]] = {q: [] for q in table.prefixes}
-    for i, q1 in enumerate(table.prefixes):
-        for q2 in table.prefixes[i + 1 :]:
-            chi = rows_equal_up_to_left_invertible(m, rows[q1], rows[q2])
-            if chi is not None:
-                out[q1].append((q2, chi))
-                out[q2].append((q1, m.inverse(chi)))
-    return out
+def _row_classes(table: ObservationTable) -> dict[tuple, list[Word]]:
+    """Each state row mapped to the prefixes that have it, in ``Q`` order."""
+    classes: dict[tuple, list[Word]] = {}
+    for q in table.prefixes:
+        classes.setdefault(table.row(q), []).append(q)
+    return classes
 
 
 def find_defect(table: ObservationTable) -> Optional[Defect]:
@@ -189,31 +181,26 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
     can be built."""
     m = table.monoid
     state_rows = {q: table.row(q) for q in table.prefixes}
+    classes = _row_classes(table)
 
     # Closure: a letter extension whose (somewhere-defined) row matches no
-    # prefix row, even up to an invertible left factor.
+    # prefix row.
     for q in table.prefixes:
         for a in table.alphabet:
             row = table.row(q, a)
-            if _is_bottom(row):
-                continue
-            if not any(
-                rows_equal_up_to_left_invertible(m, row, state_rows[q2]) is not None
-                for q2 in table.prefixes
-            ):
+            if not _is_bottom(row) and row not in classes:
                 return Defect(DefectKind.CLOSURE, q + (a,))
-
-    merged = _merged_pairs(table)
 
     # Definedness mismatches.
     for q in table.prefixes:
         bottom = _is_bottom(state_rows[q])
+        merged = classes[state_rows[q]]
         for a in table.alphabet:
             for t in table.suffixes:
                 defined = table.res[(q, a, t)] is not None
                 if defined and bottom:
                     return Defect(DefectKind.TOT, (a,) + t)
-                for q2, _ in merged[q]:
+                for q2 in merged:
                     if defined != (table.res[(q2, a, t)] is not None):
                         return Defect(DefectKind.TOT, (a,) + t)
 
@@ -233,16 +220,16 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
         g = table.lam[(q, "")]
         if g is None:
             continue
+        merged = classes[state_rows[q]]
         for a in table.alphabet:
             for t in table.suffixes:
                 v1 = table.raw_value(q, a, t)
                 if v1 is None:
                     continue
-                for q2, chi in merged[q]:
+                d1 = m.left_divide(g, v1)
+                for q2 in merged:
                     v2 = table.raw_value(q2, a, t)
-                    d1 = m.left_divide(g, v1)
-                    d2 = m.left_divide(table.lam[(q2, "")], v2)
-                    if d1 != m.mul(chi, d2):
+                    if d1 != m.left_divide(table.lam[(q2, "")], v2):
                         return Defect(DefectKind.INJ, (a,) + t)
     return None
 
@@ -273,25 +260,14 @@ def _state_ids(words: list[Word], alphabet: tuple[str, ...]) -> dict[Word, str]:
 def build_hypothesis(table: ObservationTable) -> Transducer:
     """Assemble the machine of a defect-free table.
 
-    States are picked greedily from ``Q`` in insertion order: every prefix
-    with a somewhere-defined row that matches no earlier pick.  Transitions
-    follow the unique matching state row, with the matching witness folded
-    into the output.
+    The states are the first prefix in ``Q`` insertion order of each
+    somewhere-defined state row.  Each transition goes to the state whose row
+    equals the extension row.
     """
     m = table.monoid
-    states: list[Word] = []
-    for q in table.prefixes:
-        row = table.row(q)
-        if _is_bottom(row):
-            continue
-        if any(
-            rows_equal_up_to_left_invertible(m, row, table.row(s)) is not None for s in states
-        ):
-            continue
-        states.append(q)
-
+    reps = {row: qs[0] for row, qs in _row_classes(table).items() if not _is_bottom(row)}
+    states = list(reps.values())
     ids = _state_ids(states, table.alphabet)
-    state_rows = {s: table.row(s) for s in states}
     termination = {ids[s]: table.res[(s, "", EMPTY)] for s in states}
 
     transitions = {}
@@ -300,19 +276,16 @@ def build_hypothesis(table: ObservationTable) -> Transducer:
             row = table.row(q, a)
             if _is_bottom(row):
                 continue
-            for target in states:
-                chi = rows_equal_up_to_left_invertible(m, row, state_rows[target])
-                if chi is not None:
-                    try:
-                        step = m.left_divide(table.lam[(q, "")], table.lam[(q, a)])
-                    except Exception as exc:  # divisibility is defect-freeness
-                        raise InternalInconsistency(str(exc)) from exc
-                    transitions[(ids[q], a)] = (m.mul(step, chi), ids[target])
-                    break
-            else:
+            target = reps.get(row)
+            if target is None:
                 raise InternalInconsistency(
                     f"no state row matches the ({'·'.join(q) or 'e'}, {a}) row"
                 )
+            try:
+                step = m.left_divide(table.lam[(q, "")], table.lam[(q, a)])
+            except Exception as exc:  # divisibility is defect-freeness
+                raise InternalInconsistency(str(exc)) from exc
+            transitions[(ids[q], a)] = (step, ids[target])
 
     initial = None
     if not _is_bottom(table.row(EMPTY)):

@@ -6,8 +6,9 @@
 2. ``total``   -- drop states that recognize the nowhere-defined function;
 3. ``prefix``  -- push each state's output left-gcd towards the initial value,
    so every state recognizes a left-coprime function;
-4. ``observe`` -- merge states whose functions agree up to an invertible left
-   factor, rerouting incoming outputs through the merge witness.
+4. ``observe`` -- merge states recognizing equal functions.  After ``prefix``
+   every state's function is canonical, so this is automaton minimization
+   over ``(letter, output)`` labels and every merge witness is the unit.
 
 The result is the minimal machine: all states reachable, recognizing distinct
 left-coprime functions.
@@ -17,16 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistency, IterationBudgetExceeded
-from .monoid import (
-    Element,
-    PartialValue,
-    left_divide_partial,
-    lgcd_family,
-    mul_partial,
-    red_row,
-    rows_equal_up_to_left_invertible,
-)
+from .errors import IterationBudgetExceeded
+from .monoid import Element, PartialValue, left_divide_partial, lgcd_family, mul_partial
 from .transducer import Transducer
 
 DEFAULT_ITERATION_CAP = 10_000
@@ -37,7 +30,7 @@ class StagedMinimization:
     """All four pipeline stages plus the merge witnesses of the last one.
 
     ``state_witnesses`` maps every state that entered the merge stage to its
-    representative and the invertible factor relating their functions.
+    representative and the factor relating their functions (the unit).
     """
 
     reach: Transducer
@@ -155,94 +148,64 @@ def prefix(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> Transdu
     )
 
 
-def _signature_partition(t: Transducer) -> dict[str, tuple]:
-    """Refine states by the canonical residuals of their behavior vectors.
+def _moore_blocks(t: Transducer) -> dict[str, int]:
+    """Coarsest partition of the states by Moore refinement.
 
-    Round ``k`` keys each state by ``red`` of its value vector over all words
-    of length at most ``k`` (undefined transitions contribute blocks of
-    ``⊥``).  Refinement stops once both the partition and the pattern of
-    somewhere-defined vectors are stable: a state whose vector is still
-    nowhere defined can hide a genuine split behind a ⊥ block, so partition
-    stability alone is not a fixpoint until the (monotone) supports freeze.
+    Two states share a block when they have equal termination values and,
+    for each letter, equal ``(output, block of target)`` pairs (``None`` for
+    an undefined transition).  Each round refines the previous one, so the
+    refinement is stable as soon as the block count stops growing, which
+    happens within ``len(t.states)`` rounds.  Block numbers follow the first
+    member in declaration order.
     """
-    m = t.monoid
-    vectors: dict[str, tuple] = {s: (t.termination[s],) for s in t.states}
-
-    def snapshot(vecs):
-        keyed = {s: red_row(m, vecs[s]) for s in t.states}
+    blocks = dict.fromkeys(t.states, 0)
+    for _ in t.states:
         ids: dict[tuple, int] = {}
+        nxt = {}
         for s in t.states:
-            ids.setdefault(keyed[s], len(ids))
-        part = {s: ids[keyed[s]] for s in t.states}
-        support = {s: any(v is not None for v in vecs[s]) for s in t.states}
-        return part, support
-
-    part, support = snapshot(vectors)
-    while True:
-        width = len(next(iter(vectors.values()))) if vectors else 0
-        nxt_vectors = {}
-        for s in t.states:
-            vec = [t.termination[s]]
+            key = [t.termination[s]]
             for a in t.alphabet:
                 step = t.transitions.get((s, a))
-                if step is None:
-                    vec.extend([None] * width)
-                else:
-                    out, target = step
-                    vec.extend(mul_partial(m, out, v) for v in vectors[target])
-            nxt_vectors[s] = tuple(vec)
-        nxt_part, nxt_support = snapshot(nxt_vectors)
-        vectors = nxt_vectors
-        if nxt_part == part and nxt_support == support:
-            return vectors
-        part, support = nxt_part, nxt_support
+                key.append(None if step is None else (step[0], blocks[step[1]]))
+            nxt[s] = ids.setdefault(tuple(key), len(ids))
+        if len(ids) == len(set(blocks.values())):
+            break
+        blocks = nxt
+    return blocks
 
 
 def observe(t: Transducer) -> tuple[Transducer, dict[str, tuple[str, Element]]]:
-    """Merge states recognizing functions equal up to invertibles on the left.
+    """Merge the states of a pushed machine that recognize equal functions.
 
-    Returns the merged machine and, for every input state, its representative
-    (earliest in declaration order) together with the invertible witness
-    ``χ`` such that the state's function is ``χ ·`` the representative's.
-    Incoming transition and initial values are multiplied by ``χ`` on the
-    right when rerouted.
+    After ``prefix`` every state recognizes a canonical left-coprime
+    function, so "equal up to an invertible left factor" is plain equality
+    and this stage is automaton minimization over ``(letter, output)``
+    labels (Mohri's push-then-minimize).  Returns the merged machine and, for
+    every input state, its representative (earliest in declaration order)
+    together with the merge witness, which is always the unit.
     """
-    m = t.monoid
-    if not t.states:
-        return t, {}
-    vectors = _signature_partition(t)
-    groups: dict[tuple, str] = {}
-    witnesses: dict[str, tuple[str, Element]] = {}
+    blocks = _moore_blocks(t)
+    reps: dict[int, str] = {}
     for s in t.states:
-        key = red_row(m, vectors[s])
-        rep = groups.setdefault(key, s)
-        chi = rows_equal_up_to_left_invertible(m, vectors[s], vectors[rep])
-        if chi is None:
-            raise InternalInconsistency(
-                f"states {s!r} and {rep!r} share a residual signature but no witness"
-            )
-        witnesses[s] = (rep, chi)
-
-    def reroute(value: Element, target: str) -> tuple[Element, str]:
-        rep, chi = witnesses[target]
-        return (m.mul(value, chi), rep)
-
-    keep = [s for s in t.states if witnesses[s][0] == s]
+        reps.setdefault(blocks[s], s)
+    unit = t.monoid.unit()
+    witnesses = {s: (reps[blocks[s]], unit) for s in t.states}
+    keep = list(reps.values())
     kept = set(keep)
-    transitions = {}
-    for (s, a), (out, target) in t.transitions.items():
-        if s in kept:
-            transitions[(s, a)] = reroute(out, target)
     initial = t.initial
     if initial is not None:
-        initial = reroute(initial[0], initial[1])
+        initial = (initial[0], reps[blocks[initial[1]]])
     merged = Transducer(
-        monoid=m,
+        monoid=t.monoid,
         alphabet=t.alphabet,
         states=tuple(keep),
         initial=initial,
         termination={s: t.termination[s] for s in keep},
-        transitions=transitions,
+        transitions={
+            (s, a): (out, reps[blocks[target]])
+            for (s, a), (out, target) in t.transitions.items()
+            if s in kept
+        },
     )
     return merged, witnesses
 
@@ -264,7 +227,12 @@ def minimize(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> Stage
 
 def check_minimal(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> bool:
     """True iff every state is reachable and the states recognize pairwise
-    distinct left-coprime functions."""
+    distinct left-coprime functions.
+
+    The machine is pushed before it is refined: a minimal cyclic-group
+    machine can carry non-unit (invertible) state left-gcds, and two of its
+    states may differ only by such a factor.
+    """
     if set(t.reachable_states()) != set(t.states):
         return False
     if not t.states:
@@ -273,6 +241,4 @@ def check_minimal(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> 
     m = t.monoid
     if any(beta[s] is None or not m.is_invertible(beta[s]) for s in t.states):
         return False
-    vectors = _signature_partition(t)
-    keys = {red_row(m, vectors[s]) for s in t.states}
-    return len(keys) == len(t.states)
+    return len(set(_moore_blocks(prefix(t, iteration_cap)).values())) == len(t.states)

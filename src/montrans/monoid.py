@@ -433,7 +433,7 @@ class CyclicGroup(Monoid):
     kind = "cyclic-group"
 
     def __init__(self, modulus: int):
-        if not isinstance(modulus, int) or modulus < 1:
+        if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 1:
             raise ValueError(f"modulus must be a positive integer, got {modulus!r}")
         self.modulus = modulus
 
@@ -532,15 +532,21 @@ def monoid_from_wire(doc, path: str = "monoid") -> Monoid:
     for key in doc:
         if key not in allowed:
             raise SchemaError(f"{path}.{key}", f"unexpected field for kind {kind!r}")
+    generators = doc.get("generators", [])
+    if not isinstance(generators, list):
+        raise SchemaError(f"{path}.generators", f"expected a list of names, got {generators!r}")
     try:
         if kind == "trace":
             raw = doc.get("commutations", [])
-            if not isinstance(raw, list) or not all(isinstance(p, list) and len(p) == 2 for p in raw):
+            if not isinstance(raw, list) or not all(
+                isinstance(p, list) and len(p) == 2 and all(isinstance(g, str) for g in p)
+                for p in raw
+            ):
                 raise SchemaError(f"{path}.commutations", "expected a list of generator pairs")
-            return make_monoid(kind, doc.get("generators", ()), [tuple(p) for p in raw])
+            return make_monoid(kind, generators, [tuple(p) for p in raw])
         if kind == "cyclic-group":
             return make_monoid(kind, modulus=doc.get("modulus"))
-        return make_monoid(kind, doc.get("generators", ()))
+        return make_monoid(kind, generators)
     except (ValueError, UnknownGenerator) as exc:
         raise SchemaError(path, str(exc)) from None
 

@@ -117,17 +117,18 @@ def _first_difference(t1: Transducer, t2: Transducer, max_len: int) -> Optional[
 def equivalence_oracle(reference: Transducer) -> Callable[[Transducer], EquivalenceVerdict]:
     """Exact equivalence with counterexample extraction.
 
-    Each call minimizes both machines; if they are isomorphic up to
+    The reference is minimized once, when the oracle is built; each call
+    minimizes the hypothesis.  If the minimal machines are isomorphic up to
     invertibles the hypothesis is accepted, otherwise the first differing
     word in length-lex order is returned with both values.
     """
+    min_ref = minimize(reference).minimal
 
     def oracle(hypothesis: Transducer) -> EquivalenceVerdict:
         if hypothesis.monoid != reference.monoid:
             raise ValueError("hypothesis and reference use different monoids")
         if hypothesis.alphabet != reference.alphabet:
             raise ValueError("hypothesis and reference use different alphabets")
-        min_ref = minimize(reference).minimal
         min_hyp = minimize(hypothesis).minimal
         if iso_check(min_ref, min_hyp) is not None:
             return None

@@ -124,6 +124,53 @@ def random_machine(
     )
 
 
+def rank_one(monoid: Monoid, i: int):
+    """The ``i``-th of a fixed cycle of rank-one elements (for a cyclic
+    group: of non-unit residues)."""
+    if isinstance(monoid, CyclicGroup):
+        return 1 + i % (monoid.modulus - 1)
+    if isinstance(monoid, NatAddMonoid):
+        return 1
+    return monoid.parse(monoid.generators[i % len(monoid.generators)])
+
+
+def chain(monoid: Monoid, n: int, twins: int = 0, reset: bool = False) -> Transducer:
+    """An ``n``-state ``a``-chain whose minimal machine has ``n - twins`` states.
+
+    States ``c0 … c(k-1)`` with ``k = n - twins`` form an ``a``-chain whose
+    last state alone has a defined termination, so ``a^j`` is defined from
+    ``ci`` exactly when ``i + j = k - 1`` (``≥`` with twins) and the chain
+    states are pairwise distinct whatever the outputs.  With twins the last
+    state loops on ``a``, and the loop is unrolled into ``twins`` tail copies
+    with the same outputs, which all merge back into it.  With ``reset`` every
+    state also has a ``b`` edge back to ``c0``.
+    """
+    k = n - twins
+    chain_states = [f"c{i}" for i in range(k)]
+    tail = chain_states[-1:] + [f"t{j}" for j in range(1, twins + 1)]
+    transitions = {}
+    for i in range(k - 1):
+        transitions[(chain_states[i], "a")] = (rank_one(monoid, i), chain_states[i + 1])
+    if twins:
+        for here, there in zip(tail, tail[1:] + tail[-1:]):
+            transitions[(here, "a")] = (rank_one(monoid, 0), there)
+    if reset:
+        for i, s in enumerate(chain_states[:-1]):
+            transitions[(s, "b")] = (rank_one(monoid, i + 1), chain_states[0])
+        for s in tail:
+            transitions[(s, "b")] = (rank_one(monoid, 1), chain_states[0])
+    states = tuple(chain_states + tail[1:])
+    last = rank_one(monoid, 2)
+    return Transducer(
+        monoid=monoid,
+        alphabet=("a", "b") if reset else ("a",),
+        states=states,
+        initial=(rank_one(monoid, 1), chain_states[0]),
+        termination={s: (last if s in tail else None) for s in states},
+        transitions=transitions,
+    )
+
+
 def _rename(t: Transducer, rng: random.Random) -> Transducer:
     order = list(range(len(t.states)))
     rng.shuffle(order)

@@ -295,3 +295,28 @@ def test_criterion_8_oracle_consistency(pair_corpus):
                 assert left.eval(verdict.word) == verdict.left_value
                 assert right.eval(verdict.word) == verdict.right_value
                 assert verdict.left_value != verdict.right_value
+
+
+#: Per-kind totals of membership queries, equivalence queries, q_updates and
+#: t_updates over the 100 targets of each kind in ``learning_corpus``.
+CORPUS_QUERY_TOTALS = {
+    "free": [1867, 137, 174, 152],
+    "trace": [1730, 135, 154, 153],
+    "commutative": [1863, 157, 194, 147],
+    "nat-add": [1708, 155, 175, 109],
+    "cyclic-group": [1386, 160, 159, 83],
+}
+
+
+def test_learner_query_counts_on_corpus(learning_corpus):
+    runs, _ = learning_corpus
+    totals = {kind: [0, 0, 0, 0] for kind in CORPUS_QUERY_TOTALS}
+    for kind, _, _, stats in runs:
+        counts = (
+            stats.membership_queries,
+            stats.equivalence_queries,
+            stats.q_updates,
+            stats.t_updates,
+        )
+        totals[kind] = [a + b for a, b in zip(totals[kind], counts)]
+    assert totals == CORPUS_QUERY_TOTALS

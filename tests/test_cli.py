@@ -45,6 +45,15 @@ def test_eval_bad_file_exits_2(tmp_path, capsys):
     assert main(["eval", "--machine", str(tmp_path / "missing.json"), "a"]) == 2
 
 
+def test_eval_malformed_monoid_exits_2(tmp_path, capsys):
+    doc = json.loads(load_machine("beta_loop_free.json").serialize())
+    doc["monoid"]["generators"] = True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["eval", "--machine", str(bad), "b"]) == 2
+    assert "monoid.generators" in capsys.readouterr().err
+
+
 def test_minimize_writes_golden_file(tmp_path):
     out = tmp_path / "minimal.json"
     assert main(["minimize", "--machine", BETA_LOOP_COMMUTATIVE, "-o", str(out)]) == 0

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from montrans import (
+    CyclicGroup,
     Transducer,
     brute_force_diff,
     check_minimal,
@@ -20,7 +21,7 @@ from montrans import (
     total,
 )
 
-from helpers import beta_loop, learning_target, random_machine, standard_monoids
+from helpers import beta_loop, chain, learning_target, random_machine, standard_monoids
 
 
 def words_up_to(alphabet, n):
@@ -278,3 +279,43 @@ def test_canonical_minimality_on_split_machines():
             left, right = equivalent_pair(monoid, rng)
             assert brute_force_diff(left, right, 5) is None
             assert iso_check(minimize(left).minimal, minimize(right).minimal) is not None
+
+
+@pytest.mark.parametrize("reset, n", [(False, 120), (True, 24)])
+def test_chains_minimize_to_closed_form(reset, n):
+    # sizes far past what behaviour vectors over all words up to length n
+    # could reach (|A|^n entries per state for the reset chain)
+    for monoid in standard_monoids().values():
+        for twins in (0, n // 4):
+            t = chain(monoid, n, twins, reset)
+            minimal = minimize(t).minimal
+            assert len(minimal.states) == n - twins, (monoid.kind, twins)
+            assert check_minimal(minimal), (monoid.kind, twins)
+            assert brute_force_diff(minimal, t, 6) is None, (monoid.kind, twins)
+
+
+def test_check_minimal_cyclic_group_non_unit_lgcds():
+    z3 = CyclicGroup(3)
+    # minimal, with state left-gcds 1 and 2
+    t = Transducer(
+        monoid=z3,
+        alphabet=("a",),
+        states=("x", "y"),
+        initial=(0, "x"),
+        termination={"x": 1, "y": 2},
+        transitions={("x", "a"): (0, "y"), ("y", "a"): (0, "y")},
+    )
+    assert state_lgcds(t) == {"x": 1, "y": 2}
+    assert check_minimal(t)
+    # y recognizes 1 + (x's function): distinct raw outputs, one pushed state
+    u = Transducer(
+        monoid=z3,
+        alphabet=("a",),
+        states=("x", "y"),
+        initial=(0, "x"),
+        termination={"x": 0, "y": 1},
+        transitions={("x", "a"): (0, "y"), ("y", "a"): (2, "x")},
+    )
+    for w in words_up_to(u.alphabet, 6):
+        assert u.state_eval("y", w) == z3.mul(1, u.state_eval("x", w))
+    assert not check_minimal(u)

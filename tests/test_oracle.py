@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import montrans.oracle
 from montrans import (
     CyclicGroup,
     NotMinimalInput,
@@ -15,6 +16,7 @@ from montrans import (
     brute_force_diff,
     equivalence_oracle,
     iso_check,
+    learn,
     membership_oracle,
     minimize,
     words_in_length_lex,
@@ -69,6 +71,21 @@ def test_equivalence_oracle_examples():
     )
     loop_oracle = equivalence_oracle(beta_loop("commutative"))
     assert loop_oracle(load_machine("beta_loop_minimal_commutative.json")) is None
+
+
+def test_equivalence_oracle_minimizes_reference_once(monkeypatch):
+    calls = []
+
+    def counting_minimize(t, *args):
+        calls.append(t)
+        return minimize(t, *args)
+
+    monkeypatch.setattr(montrans.oracle, "minimize", counting_minimize)
+    target = learning_target()
+    _, stats = learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    assert stats.equivalence_queries == 2
+    assert len(calls) == 1 + stats.equivalence_queries
+    assert calls[0] is target
 
 
 def test_equivalence_oracle_rejects_mismatched_machines():

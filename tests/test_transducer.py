@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -197,6 +198,21 @@ def test_deserialize_schema_errors(machine):
             '"letter": "a"', '"letter": "b"', 1
         )  # 1 -b-> now declared twice
         deserialize(dup)
+
+    def with_monoid(wire):
+        parsed = json.loads(doc)
+        parsed["monoid"] = wire
+        return json.dumps(parsed)
+
+    for generators in (True, 5, None, "αβ"):
+        with pytest.raises(SchemaError, match=r"monoid\.generators"):
+            deserialize(with_monoid({"kind": "free", "generators": generators}))
+    with pytest.raises(SchemaError, match=r"monoid\.commutations"):
+        deserialize(
+            with_monoid({"kind": "trace", "generators": ["α", "β"], "commutations": [[["α"], "β"]]})
+        )
+    with pytest.raises(SchemaError, match="modulus"):
+        deserialize(with_monoid({"kind": "cyclic-group", "modulus": True}))
 
 
 def test_deserialize_canonicalizes_with_warning():
