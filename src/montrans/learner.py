@@ -10,6 +10,10 @@ with no closure or consistency defect assembles into a hypothesis machine,
 which an equivalence oracle either accepts or refutes with a counterexample
 word whose prefixes are then added to ``Q``.
 
+The factorization is incremental: refilling the table folds each row's
+left-gcd over its new cells only and divides only those cells, unless the
+left-gcd shrank, in which case the whole row is divided again.
+
 Residual rows are canonical: two rows that agree up to an invertible left
 factor have equal residuals.  So two prefixes have *merged rows*, and stand
 for the same hypothesis state, exactly when their reduced state rows are
@@ -35,7 +39,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .errors import BudgetExceeded, InternalInconsistency
-from .monoid import Monoid, PartialValue, lgcd_family, red_row
+from .monoid import Monoid, PartialRow, PartialValue, lgcd_family
 from .transducer import Transducer, Word
 
 #: Answers the target function's value on a word (``None`` for undefined).
@@ -94,8 +98,11 @@ class LearnLimits:
 class ObservationTable:
     """The learner's working state: ``Q``, ``T`` and the factored tables.
 
-    Membership answers are memoized forever; the oracle is consulted exactly
-    once per distinct word, and ``queries`` counts those consultations.
+    Membership answers are memoized forever in ``values``; the oracle is
+    consulted exactly once per distinct word, and ``queries`` counts those
+    consultations.  Each row ``(q, x)`` keeps its left-gcd in ``lam`` and its
+    reduced row as a tuple over the first ``len(row)`` suffixes of ``T``;
+    ``res`` reads single entries of those tuples.
     """
 
     def __init__(self, monoid: Monoid, alphabet: tuple[str, ...]):
@@ -105,7 +112,8 @@ class ObservationTable:
         self.suffixes: list[Word] = [EMPTY]
         self.values: dict[Word, PartialValue] = {}
         self.lam: dict[tuple[Word, str], PartialValue] = {}
-        self.res: dict[tuple[Word, str, Word], PartialValue] = {}
+        self.res = _Residuals(self)
+        self._rows: dict[tuple[Word, str], PartialRow] = {}
         self.queries = 0
 
     # ``''`` stands for the empty-word column alongside the alphabet letters.
@@ -116,25 +124,43 @@ class ObservationTable:
         return q + ((x,) if x else ()) + t
 
     def fill(self, membership: MembershipFn) -> None:
-        """Query every missing cell, then refactor all rows."""
-        for q in self.prefixes:
-            for x in self._columns():
-                for t in self.suffixes:
-                    w = self._cell_word(q, x, t)
-                    if w not in self.values:
-                        self.values[w] = membership(w)
-                        self.queries += 1
-        for q in self.prefixes:
-            for x in self._columns():
-                raw = tuple(self.values[self._cell_word(q, x, t)] for t in self.suffixes)
-                g = lgcd_family(self.monoid, raw)
-                self.lam[(q, x)] = g
-                reduced = red_row(self.monoid, raw)
-                for t, v in zip(self.suffixes, reduced):
-                    self.res[(q, x, t)] = v
+        """Query every missing cell and extend each row's factorization.
 
-    def row(self, q: Word, x: str = "") -> tuple:
-        return tuple(self.res[(q, x, t)] for t in self.suffixes)
+        Cells are queried in ``Q``, column, ``T`` order.  ``T`` only grows at
+        its end and ``lgcd_family`` is a left fold in ``T`` order, so a row's
+        left-gcd is extended by folding over its new cells only.  If that
+        leaves the left-gcd unchanged, only the new cells are divided by it;
+        if it shrank, the whole row is divided again.  The rows of a new
+        prefix have no cells yet and are factored from scratch.
+        """
+        m = self.monoid
+        values, suffixes, rows = self.values, self.suffixes, self._rows
+        for q in self.prefixes:
+            for x in self._columns():
+                key = (q, x)
+                row = rows.get(key, ())
+                if len(row) == len(suffixes):
+                    continue
+                base = self._cell_word(q, x, EMPTY)
+                cells = []
+                for t in suffixes[len(row) :]:
+                    w = base + t
+                    if w not in values:
+                        values[w] = membership(w)
+                        self.queries += 1
+                    cells.append(values[w])
+                old = self.lam.get(key)
+                g = lgcd_family(m, (old, *cells))
+                if g != old and old is not None:
+                    row, cells = (), [values[base + t] for t in suffixes]
+                self.lam[key] = g
+                if g is not None:
+                    cells = [None if v is None else m.left_divide(g, v) for v in cells]
+                rows[key] = row + tuple(cells)
+
+    def row(self, q: Word, x: str = "") -> PartialRow:
+        """The reduced row ``r(q, x, ·)`` over ``T``, as cached by ``fill``."""
+        return self._rows[(q, x)]
 
     def raw_value(self, q: Word, x: str, t: Word) -> PartialValue:
         return self.values[self._cell_word(q, x, t)]
@@ -164,8 +190,20 @@ class ObservationTable:
         return added
 
 
+class _Residuals:
+    """``res[(q, x, t)]``: the entry at suffix ``t`` of the reduced row
+    ``(q, x)`` that ``fill`` caches."""
+
+    def __init__(self, table: ObservationTable):
+        self._table = table
+
+    def __getitem__(self, key: tuple[Word, str, Word]) -> PartialValue:
+        q, x, t = key
+        return self._table.row(q, x)[self._table.suffixes.index(t)]
+
+
 def _is_bottom(row: tuple) -> bool:
-    return all(v is None for v in row)
+    return row.count(None) == len(row)
 
 
 def _row_classes(table: ObservationTable) -> dict[tuple, list[Word]]:
@@ -180,28 +218,33 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
     """First defect in deterministic scan order, or ``None`` if a hypothesis
     can be built."""
     m = table.monoid
-    state_rows = {q: table.row(q) for q in table.prefixes}
+    row = table.row
     classes = _row_classes(table)
 
     # Closure: a letter extension whose (somewhere-defined) row matches no
     # prefix row.
     for q in table.prefixes:
         for a in table.alphabet:
-            row = table.row(q, a)
-            if not _is_bottom(row) and row not in classes:
+            ext = row(q, a)
+            if not _is_bottom(ext) and ext not in classes:
                 return Defect(DefectKind.CLOSURE, q + (a,))
 
-    # Definedness mismatches.
-    for q in table.prefixes:
-        bottom = _is_bottom(state_rows[q])
-        merged = classes[state_rows[q]]
+    # Definedness mismatches.  This scan and the INJ scan compare each class
+    # from its first prefix only: if that prefix matches every other member,
+    # the members match each other, so no later prefix finds a defect.
+    for state, (q, *rest) in classes.items():
+        bottom = _is_bottom(state)
+        if not bottom and not rest:
+            continue
         for a in table.alphabet:
-            for t in table.suffixes:
-                defined = table.res[(q, a, t)] is not None
+            ext = row(q, a)
+            others = [row(q2, a) for q2 in rest]
+            for i, t in enumerate(table.suffixes):
+                defined = ext[i] is not None
                 if defined and bottom:
                     return Defect(DefectKind.TOT, (a,) + t)
-                for q2 in merged:
-                    if defined != (table.res[(q2, a, t)] is not None):
+                for other in others:
+                    if defined != (other[i] is not None):
                         return Defect(DefectKind.TOT, (a,) + t)
 
     # Row left-gcds must left-divide every defined extension value.
@@ -216,18 +259,17 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
                     return Defect(DefectKind.INV, (a,) + t)
 
     # Merged rows must keep matching after the extension.
-    for q in table.prefixes:
+    for q, *rest in classes.values():
         g = table.lam[(q, "")]
-        if g is None:
+        if g is None or not rest:
             continue
-        merged = classes[state_rows[q]]
         for a in table.alphabet:
             for t in table.suffixes:
                 v1 = table.raw_value(q, a, t)
                 if v1 is None:
                     continue
                 d1 = m.left_divide(g, v1)
-                for q2 in merged:
+                for q2 in rest:
                     v2 = table.raw_value(q2, a, t)
                     if d1 != m.left_divide(table.lam[(q2, "")], v2):
                         return Defect(DefectKind.INJ, (a,) + t)
@@ -268,7 +310,9 @@ def build_hypothesis(table: ObservationTable) -> Transducer:
     reps = {row: qs[0] for row, qs in _row_classes(table).items() if not _is_bottom(row)}
     states = list(reps.values())
     ids = _state_ids(states, table.alphabet)
-    termination = {ids[s]: table.res[(s, "", EMPTY)] for s in states}
+    # ``T`` starts with the empty word, so a state row's first entry is its
+    # termination value.
+    termination = {ids[s]: row[0] for row, s in reps.items()}
 
     transitions = {}
     for q in states:

@@ -65,15 +65,21 @@ def _restrict(t: Transducer, keep: list[str], drop_initial: bool) -> Transducer:
 
 
 def reach(t: Transducer) -> Transducer:
-    """Restriction to the states reachable from the initial state."""
+    """Restriction to the states reachable from the initial state; ``t``
+    itself when every state is."""
     keep = t.reachable_states()
+    if len(keep) == len(t.states):
+        return t
     return _restrict(t, keep, drop_initial=False)
 
 
 def total(t: Transducer) -> Transducer:
     """Restriction to productive states; clears the initial pair if its state
-    recognizes the nowhere-defined function."""
+    recognizes the nowhere-defined function.  ``t`` itself when every state
+    is productive."""
     keep = t.productive_states()
+    if len(keep) == len(t.states):
+        return t
     drop_initial = t.initial is not None and t.initial[1] not in set(keep)
     return _restrict(t, keep, drop_initial=drop_initial)
 
@@ -130,6 +136,11 @@ def prefix(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> Transdu
     beta = state_lgcds(t, iteration_cap)
     if any(beta[s] is None for s in t.states):
         raise ValueError("prefix stage requires a trim machine (apply reach and total first)")
+    return _push(t, beta)
+
+
+def _push(t: Transducer, beta: dict[str, Element]) -> Transducer:
+    """Divide each state's left-gcd ``beta[s]`` out of its function."""
     m = t.monoid
     transitions = {}
     for (s, a), (out, target) in t.transitions.items():
@@ -241,4 +252,4 @@ def check_minimal(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> 
     m = t.monoid
     if any(beta[s] is None or not m.is_invertible(beta[s]) for s in t.states):
         return False
-    return len(set(_moore_blocks(prefix(t, iteration_cap)).values())) == len(t.states)
+    return len(set(_moore_blocks(_push(t, beta)).values())) == len(t.states)

@@ -247,17 +247,23 @@ class TraceMonoid(_WordMonoid):
                 raise ValueError(f"a generator cannot commute with itself: {a!r}")
             pairs.add(frozenset((a, b)))
         self.commutations = frozenset(pairs)
+        #: Each generator mapped to the generators that commute with it.
+        self._commuting = {
+            g: frozenset(h for pair in pairs if g in pair for h in pair if h != g)
+            for g in self.generators
+        }
 
     def independent(self, a: str, b: str) -> bool:
-        return a != b and frozenset((a, b)) in self.commutations
+        return b in self._commuting.get(a, ())
 
     def _extract_index(self, seq: list[str], g: str) -> Optional[int]:
         # g can be pulled to the front iff everything before its first
         # occurrence commutes with it.
+        commuting = self._commuting[g]
         for i, c in enumerate(seq):
             if c == g:
                 return i
-            if not self.independent(c, g):
+            if c not in commuting:
                 return None
         return None
 

@@ -8,6 +8,7 @@ session fixtures.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -320,3 +321,16 @@ def test_learner_query_counts_on_corpus(learning_corpus):
         )
         totals[kind] = [a + b for a, b in zip(totals[kind], counts)]
     assert totals == CORPUS_QUERY_TOTALS
+
+
+#: SHA-256 of the serialized machines learned on ``learning_corpus``, in
+#: corpus order (measured before the observation table became incremental).
+CORPUS_MACHINES_SHA256 = "933f1b83d3410e017e2b33cfdc40cd64ba086d0286f008e7d93651a7675e8d80"
+
+
+def test_learned_corpus_machines_unchanged(learning_corpus):
+    runs, _ = learning_corpus
+    digest = hashlib.sha256()
+    for _, _, machine, _ in runs:
+        digest.update(machine.serialize().encode())
+    assert digest.hexdigest() == CORPUS_MACHINES_SHA256

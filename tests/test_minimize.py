@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -22,6 +23,9 @@ from montrans import (
 )
 
 from helpers import beta_loop, chain, learning_target, random_machine, standard_monoids
+
+#: ``montrans.minimize`` names the function the package re-exports.
+minimize_module = importlib.import_module("montrans.minimize")
 
 
 def words_up_to(alphabet, n):
@@ -108,6 +112,15 @@ def test_prefix_is_identity_when_already_pushed():
     assert prefix(trimmed) == trimmed
     pushed = prefix(total(reach(beta_loop("commutative"))))
     assert prefix(pushed) == pushed
+
+
+def test_reach_and_total_return_a_trim_input_itself():
+    rng = random.Random(25)
+    for monoid in standard_monoids().values():
+        for _ in range(6):
+            trim = minimize(random_machine(monoid, rng, max_states=5)).total
+            staged = minimize(trim)
+            assert staged.reach is trim and staged.total is trim, monoid.kind
 
 
 def test_prefix_requires_trim_machine():
@@ -254,6 +267,20 @@ def test_check_minimal_examples():
     assert not check_minimal(pushed)  # states 1 and 3 are equivalent
     free_trim = total(reach(beta_loop("free")))
     assert not check_minimal(free_trim)
+
+
+def test_check_minimal_computes_state_lgcds_once(monkeypatch):
+    calls = []
+
+    def counted(t, iteration_cap):
+        calls.append(t)
+        return state_lgcds(t, iteration_cap)
+
+    monkeypatch.setattr(minimize_module, "state_lgcds", counted)
+    for t in (minimize(beta_loop("commutative")).minimal, prefix(total(reach(beta_loop("commutative"))))):
+        calls.clear()
+        check_minimal(t)
+        assert calls == [t]
 
 
 def test_check_minimal_flags_non_coprime_state():

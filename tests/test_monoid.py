@@ -26,7 +26,7 @@ from montrans import (
 )
 from montrans.errors import SchemaError
 
-from helpers import brute_trace_lgcd, random_element, standard_monoids
+from helpers import brute_trace_lgcd, random_element, standard_monoids, trace_class
 
 MONOIDS = standard_monoids()
 
@@ -126,6 +126,29 @@ def test_trace_normal_form():
     assert trace.parse("γ·β·α") == ("γ", "α", "β")
     assert trace.parse("β·γ·α") == ("β", "γ", "α")
     assert trace.canonical(("β", "α", "α")) == ("α", "α", "β")
+
+
+TRACES = [
+    MONOIDS["trace"],
+    TraceMonoid(("a", "b", "c", "d"), [("a", "b"), ("c", "a"), ("c", "d"), ("d", "b")]),
+]
+
+
+@pytest.mark.parametrize("trace", TRACES, ids=["standard", "four-letter"])
+def test_trace_independent_matches_commutations(trace):
+    for a in trace.generators:
+        for b in trace.generators:
+            assert trace.independent(a, b) == (frozenset((a, b)) in trace.commutations), (a, b)
+
+
+@pytest.mark.parametrize("trace", TRACES, ids=["standard", "four-letter"])
+def test_trace_normal_form_is_least_word_of_class(trace):
+    rng = random.Random(41)
+    order = {g: i for i, g in enumerate(trace.generators)}
+    for _ in range(300):
+        word = tuple(rng.choice(trace.generators) for _ in range(rng.randint(0, 6)))
+        least = min(trace_class(trace, word), key=lambda w: [order[g] for g in w])
+        assert trace._normalize(word) == least, word
 
 
 def test_parse_render_round_trip(monoid):
