@@ -101,8 +101,7 @@ class ObservationTable:
     Membership answers are memoized forever in ``values``; the oracle is
     consulted exactly once per distinct word, and ``queries`` counts those
     consultations.  Each row ``(q, x)`` keeps its left-gcd in ``lam`` and its
-    reduced row as a tuple over the first ``len(row)`` suffixes of ``T``;
-    ``res`` reads single entries of those tuples.
+    reduced row as a tuple over the first ``len(row)`` suffixes of ``T``.
     """
 
     def __init__(self, monoid: Monoid, alphabet: tuple[str, ...]):
@@ -112,7 +111,6 @@ class ObservationTable:
         self.suffixes: list[Word] = [EMPTY]
         self.values: dict[Word, PartialValue] = {}
         self.lam: dict[tuple[Word, str], PartialValue] = {}
-        self.res = _Residuals(self)
         self._rows: dict[tuple[Word, str], PartialRow] = {}
         self.queries = 0
 
@@ -188,18 +186,6 @@ class ObservationTable:
                 have.add(s)
                 added += 1
         return added
-
-
-class _Residuals:
-    """``res[(q, x, t)]``: the entry at suffix ``t`` of the reduced row
-    ``(q, x)`` that ``fill`` caches."""
-
-    def __init__(self, table: ObservationTable):
-        self._table = table
-
-    def __getitem__(self, key: tuple[Word, str, Word]) -> PartialValue:
-        q, x, t = key
-        return self._table.row(q, x)[self._table.suffixes.index(t)]
 
 
 def _is_bottom(row: tuple) -> bool:

@@ -101,10 +101,6 @@ class Monoid:
             raise NotInvertible(f"{self.render(x)} is not invertible in {self!r}")
         return self.unit()
 
-    def factor_left_invertible(self, u: Element, v: Element) -> Optional[Element]:
-        """An invertible ``χ`` with ``u == χ * v``, or ``None``."""
-        return self.unit() if u == v else None
-
     def rank(self, x: Element) -> int:
         """Number of non-invertible factors in a maximal decomposition of ``x``."""
         raise NotImplementedError
@@ -298,7 +294,7 @@ class TraceMonoid(_WordMonoid):
                     break
             else:
                 break
-        return self._normalize(out)
+        return tuple(out)
 
     def left_divide(self, d, x):
         remaining = list(x)
@@ -464,9 +460,6 @@ class CyclicGroup(Monoid):
     def inverse(self, x):
         return (-x) % self.modulus
 
-    def factor_left_invertible(self, u, v):
-        return (u - v) % self.modulus
-
     def rank(self, x):
         return 0
 
@@ -603,37 +596,3 @@ def red_row(monoid: Monoid, row: Sequence[PartialValue]) -> PartialRow:
     if g is None:
         return tuple(row)
     return tuple(None if v is None else monoid.left_divide(g, v) for v in row)
-
-
-def factor_left_invertible(monoid: Monoid, u: PartialValue, v: PartialValue) -> Optional[Element]:
-    """Invertible ``χ`` with ``u == χ * v`` on partial values (both ``⊥`` -> unit)."""
-    if u is None and v is None:
-        return monoid.unit()
-    if u is None or v is None:
-        return None
-    return monoid.factor_left_invertible(u, v)
-
-
-def rows_equal_up_to_left_invertible(
-    monoid: Monoid, r1: Sequence[PartialValue], r2: Sequence[PartialValue]
-) -> Optional[Element]:
-    """A single invertible ``χ`` with ``r1 == χ·r2`` pointwise, or ``None``.
-
-    Supports must coincide; nowhere-defined rows are equal only to each other
-    (with witness the unit).
-    """
-    if len(r1) != len(r2):
-        raise ValueError("rows must be indexed by the same key list")
-    chi: Optional[Element] = None
-    for u, v in zip(r1, r2):
-        if (u is None) != (v is None):
-            return None
-        if u is None:
-            continue
-        if chi is None:
-            chi = monoid.factor_left_invertible(u, v)
-            if chi is None:
-                return None
-        elif u != monoid.mul(chi, v):
-            return None
-    return monoid.unit() if chi is None else chi

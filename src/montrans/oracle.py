@@ -1,12 +1,15 @@
 """Oracles for the learner and for cross-validation.
 
 ``membership_oracle`` and ``equivalence_oracle`` wrap a reference machine as
-the two query functions the learner needs.  ``iso_check`` decides structural
-equality of two minimal machines up to state renaming and invertible output
-factors, ``brute_force_diff`` is the dumb word-enumeration oracle used to
-validate everything else, and ``adversarial_oracle`` answers membership
-queries with free-monoid representatives chosen so that a free-monoid
-learning run never converges.
+the two query functions the learner needs; the equivalence oracle minimizes
+both machines and walks their configuration pairs breadth-first, which both
+proves equivalence and finds the length-lex-first counterexample.
+``iso_check`` is the structural check: it decides equality of two minimal
+machines up to state renaming and invertible output factors.
+``brute_force_diff`` is the dumb word-enumeration oracle used to validate
+everything else, and ``adversarial_oracle`` answers membership queries with
+free-monoid representatives chosen so that a free-monoid learning run never
+converges.
 """
 
 from __future__ import annotations
@@ -89,19 +92,25 @@ def _config_key(m, c1, c2):
 
 
 def _first_difference(t1: Transducer, t2: Transducer, max_len: int) -> Optional[Word]:
-    """Length-lex-first word where evaluations differ, with configuration
-    pruning; returns ``None`` only when the search space is exhausted."""
+    """Length-lex-first word where evaluations differ, or ``None`` when the
+    machines are equivalent.
+
+    A breadth-first walk over configuration pairs, pruned up to
+    :func:`_config_key`; ``None`` means every pair was explored without a
+    difference.  Raises :class:`SearchBoundExceeded` when no difference is
+    found up to length ``max_len`` but an unexplored pair lies beyond it.
+    On trim machines that are equivalent the walk always runs out of pairs.
+    """
     m = t1.monoid
-    seen = set()
+    seen = {_config_key(m, t1.initial, t2.initial)}
     frontier: deque[tuple[Word, object, object]] = deque([((), t1.initial, t2.initial)])
+    truncated = False
     while frontier:
         w, c1, c2 = frontier.popleft()
         v1 = None if c1 is None else mul_partial(m, c1[0], t1.termination[c1[1]])
         v2 = None if c2 is None else mul_partial(m, c2[0], t2.termination[c2[1]])
         if v1 != v2:
             return w
-        if len(w) >= max_len:
-            continue
         for a in t1.alphabet:
             n1, n2 = _step(t1, c1, a), _step(t2, c2, a)
             if n1 is None and n2 is None:
@@ -109,8 +118,13 @@ def _first_difference(t1: Transducer, t2: Transducer, max_len: int) -> Optional[
             key = _config_key(m, n1, n2)
             if key in seen:
                 continue
+            if len(w) >= max_len:
+                truncated = True
+                continue
             seen.add(key)
             frontier.append((w + (a,), n1, n2))
+    if truncated:
+        raise SearchBoundExceeded(f"no difference up to length {max_len}, and the walk goes on")
     return None
 
 
@@ -118,9 +132,10 @@ def equivalence_oracle(reference: Transducer) -> Callable[[Transducer], Equivale
     """Exact equivalence with counterexample extraction.
 
     The reference is minimized once, when the oracle is built; each call
-    minimizes the hypothesis.  If the minimal machines are isomorphic up to
-    invertibles the hypothesis is accepted, otherwise the first differing
-    word in length-lex order is returned with both values.
+    minimizes the hypothesis and walks the configuration pairs of the two
+    minimal machines (:func:`_first_difference`).  The hypothesis is accepted
+    when the walk runs out of pairs; otherwise the first differing word in
+    length-lex order is returned with both values.
     """
     min_ref = minimize(reference).minimal
 
@@ -130,14 +145,10 @@ def equivalence_oracle(reference: Transducer) -> Callable[[Transducer], Equivale
         if hypothesis.alphabet != reference.alphabet:
             raise ValueError("hypothesis and reference use different alphabets")
         min_hyp = minimize(hypothesis).minimal
-        if iso_check(min_ref, min_hyp) is not None:
-            return None
         bound = (len(min_ref.states) + 1) * (len(min_hyp.states) + 1)
-        word = _first_difference(reference, hypothesis, bound)
+        word = _first_difference(min_ref, min_hyp, bound)
         if word is None:
-            raise SearchBoundExceeded(
-                f"non-isomorphic machines with no difference up to length {bound}"
-            )
+            return None
         return CounterExample(word, reference.eval(word), hypothesis.eval(word))
 
     return oracle

@@ -7,6 +7,7 @@ import pytest
 from montrans import (
     IterationBudgetExceeded,
     NatAddMonoid,
+    SearchBoundExceeded,
     Transducer,
     brute_force_diff,
     check_minimal,
@@ -58,7 +59,8 @@ def test_first_difference_respects_length_bound():
     assert brute_force_diff(target, changed, 1) is None
     first = brute_force_diff(target, changed, 4)
     assert first == ("b", "a")
-    assert _first_difference(target, changed, 1) is None  # bound exhausted
+    with pytest.raises(SearchBoundExceeded):  # a walk cut short is not a verdict
+        _first_difference(target, changed, 1)
     assert _first_difference(target, changed, 4) == first
 
 

@@ -53,8 +53,8 @@ def test_fill_initial_table(target):
     table = fresh_table(target)
     assert table.lam[(EMPTY, "")] == p("α")
     assert table.lam[(EMPTY, "a")] == p("γ·α·β·α")
-    assert table.res[(EMPTY, "", EMPTY)] == p("ε")
-    assert table.res[(EMPTY, "a", EMPTY)] == p("ε")
+    assert table.row(EMPTY, "")[table.suffixes.index(EMPTY)] == p("ε")
+    assert table.row(EMPTY, "a")[table.suffixes.index(EMPTY)] == p("ε")
 
 
 def test_fill_after_suffix_extension(target):
@@ -90,11 +90,10 @@ def test_table_coherence_and_coprimality(target):
     m = target.monoid
     for q in table.prefixes:
         for x in ("",) + table.alphabet:
-            for t in table.suffixes:
-                assert mul_partial(m, table.lam[(q, x)], table.res[(q, x, t)]) == table.raw_value(
-                    q, x, t
-                )
             row = table.row(q, x)
+            for t in table.suffixes:
+                value = row[table.suffixes.index(t)]
+                assert mul_partial(m, table.lam[(q, x)], value) == table.raw_value(q, x, t)
             if any(v is not None for v in row):
                 assert m.is_invertible(lgcd_family(m, row))
 
@@ -317,8 +316,8 @@ def test_adversarial_oracle_never_converges():
     for q in table.prefixes:
         k = len(q)
         assert table.lam[(q, "")] == ("α",) * k
-        assert table.res[(q, "", ())] == ("β",) * k + ("γ",)
-        assert table.res[(q, "", ("a",))] == ("α",) + ("β",) * (k + 1) + ("γ",)
+        assert table.row(q, "")[table.suffixes.index(())] == ("β",) * k + ("γ",)
+        assert table.row(q, "")[table.suffixes.index(("a",))] == ("α",) + ("β",) * (k + 1) + ("γ",)
 
 
 def test_iteration_cap(target):

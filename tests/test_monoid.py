@@ -15,14 +15,12 @@ from montrans import (
     NotInvertible,
     TraceMonoid,
     UnknownGenerator,
-    factor_left_invertible,
     left_divide_partial,
     lgcd_family,
     make_monoid,
     monoid_from_wire,
     mul_partial,
     red_row,
-    rows_equal_up_to_left_invertible,
 )
 from montrans.errors import SchemaError
 
@@ -214,27 +212,6 @@ def test_red_row_examples():
     assert red_row(free, (p("α·β·α"), p("α·β·β"))) == (p("α"), p("β"))
     assert red_row(free, (None, None)) == (None, None)
     assert red_row(CyclicGroup(3), (1, 2)) == (0, 1)
-
-
-def test_factor_left_invertible_examples():
-    free = MONOIDS["free"]
-    p = free.parse
-    assert factor_left_invertible(free, p("α·β"), p("α·β")) == ()
-    assert factor_left_invertible(free, p("α·β"), p("β·α")) is None
-    assert factor_left_invertible(CyclicGroup(3), 1, 2) == 2
-    assert factor_left_invertible(free, None, None) == ()
-    assert factor_left_invertible(free, None, p("α")) is None
-
-
-def test_rows_equal_up_to_left_invertible_examples():
-    free = MONOIDS["free"]
-    p = free.parse
-    assert rows_equal_up_to_left_invertible(free, (None, p("α·β")), (None, p("α·β"))) == ()
-    assert rows_equal_up_to_left_invertible(free, (None, p("α")), (p("α"), None)) is None
-    assert rows_equal_up_to_left_invertible(CyclicGroup(3), (1, 2), (0, 1)) == 1
-    assert rows_equal_up_to_left_invertible(free, (None, None), (None, None)) == ()
-    with pytest.raises(ValueError):
-        rows_equal_up_to_left_invertible(free, (None,), (None, None))
 
 
 # -- algebraic law suite -------------------------------------------------------

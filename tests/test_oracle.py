@@ -88,6 +88,49 @@ def test_equivalence_oracle_minimizes_reference_once(monkeypatch):
     assert calls[0] is target
 
 
+def test_equivalence_oracle_makes_no_structural_check(monkeypatch):
+    calls = []
+    for name in ("iso_check", "check_minimal"):
+        real = getattr(montrans.oracle, name)
+        monkeypatch.setattr(
+            montrans.oracle, name, lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args)
+        )
+    target = learning_target()
+    _, stats = learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    assert stats.equivalence_queries == 2
+    assert calls == []
+
+
+def test_equivalence_oracle_matches_brute_force():
+    rng = random.Random(5003)
+    pairs = [group_scaling_pair(), group_scaling_pair()[::-1]]
+    for monoid in standard_monoids().values():
+        for _ in range(12):
+            alphabet = ("a", "b")[: rng.randint(1, 2)]
+            pairs.append(
+                tuple(
+                    random_machine(monoid, rng, max_states=4, alphabet=alphabet)
+                    for _ in range(2)
+                )
+            )
+        for _ in range(4):
+            pairs.append(equivalent_pair(monoid, rng))
+    verdicts = []
+    for left, right in pairs:
+        verdict = equivalence_oracle(left)(right)
+        if verdict is None:
+            min_left, min_right = minimize(left).minimal, minimize(right).minimal
+            bound = len(min_left.states) + len(min_right.states) + 2
+            assert brute_force_diff(left, right, bound) is None
+        else:
+            assert brute_force_diff(left, right, len(verdict.word)) == verdict.word
+            assert verdict.left_value == left.eval(verdict.word)
+            assert verdict.right_value == right.eval(verdict.word)
+        verdicts.append(verdict is None)
+    assert verdicts[:2] == [True, True]  # the χ = 2 pair, both directions
+    assert verdicts.count(True) > 2 and verdicts.count(False) > 2
+
+
 def test_equivalence_oracle_rejects_mismatched_machines():
     target = learning_target()
     other = beta_loop("free")
@@ -111,8 +154,9 @@ def test_iso_check_rejects_non_minimal_inputs():
         iso_check(trimmed, trimmed)
 
 
-def test_iso_check_group_scaling():
-    # the same cyclic-group language produced with shifted initial/termination
+def group_scaling_pair() -> tuple[Transducer, Transducer]:
+    """The same cyclic-group function produced with shifted initial and
+    termination values; the isomorphism's witness is χ = 2."""
     cyclic = CyclicGroup(3)
     left = Transducer(
         monoid=cyclic,
@@ -130,6 +174,11 @@ def test_iso_check_group_scaling():
         termination={"z": 0},
         transitions={("z", "b"): (1, "z")},
     )
+    return left, right
+
+
+def test_iso_check_group_scaling():
+    left, right = group_scaling_pair()
     assert brute_force_diff(left, right, 6) is None
     pairing = iso_check(left, right)
     assert pairing == {"s": ("z", 2)}  # non-unit witness
