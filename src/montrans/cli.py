@@ -20,6 +20,7 @@ from .minimize import minimize
 from .monoid import FreeMonoid, TraceMonoid, render_partial
 from .oracle import (
     ADVERSARY_GENERATORS,
+    CounterExample,
     adversarial_oracle,
     brute_force_diff,
     equivalence_oracle,
@@ -107,18 +108,19 @@ def cmd_learn(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    if args.max_len is not None and args.max_len < 0:
+        print("--max-len must not be negative", file=sys.stderr)
+        return 2
     left = _load(args.left)
     right = _load(args.right)
-    if args.max_len is not None:
+    if left.monoid != right.monoid or left.alphabet != right.alphabet:
+        print("error: the machines use different monoids or input alphabets", file=sys.stderr)
+        return 2
+    if args.max_len is None:
+        verdict = equivalence_oracle(left)(right)
+    else:
         word = brute_force_diff(left, right, args.max_len)
-        if word is None:
-            print("equivalent")
-            return 0
-        print(render_word(word))
-        print(f"left:  {left.render_value(left.eval(word))}")
-        print(f"right: {right.render_value(right.eval(word))}")
-        return 1
-    verdict = equivalence_oracle(left)(right)
+        verdict = None if word is None else CounterExample(word, left.eval(word), right.eval(word))
     if verdict is None:
         print("equivalent")
         return 0

@@ -134,7 +134,7 @@ class Monoid:
         return isinstance(other, Monoid) and self.to_wire() == other.to_wire()
 
     def __hash__(self):
-        return hash(repr(sorted(self.to_wire().items(), key=str)))
+        return hash(self.kind)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_wire()})"

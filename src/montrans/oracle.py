@@ -7,7 +7,8 @@ proves equivalence and finds the length-lex-first counterexample.
 ``iso_check`` is the structural check: it decides equality of two minimal
 machines up to state renaming and invertible output factors.
 ``brute_force_diff`` is the dumb word-enumeration oracle used to validate
-everything else, and ``adversarial_oracle`` answers membership queries with
+everything else: an unpruned walk over all words that carries both machines'
+configurations.  ``adversarial_oracle`` answers membership queries with
 free-monoid representatives chosen so that a free-monoid learning run never
 converges.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .errors import NotDivisible, NotMinimalInput, SearchBoundExceeded, UnknownLetter
 from .minimize import check_minimal, minimize
@@ -42,38 +43,36 @@ def membership_oracle(reference: Transducer) -> Callable[[Word], PartialValue]:
     return reference.eval
 
 
-def words_in_length_lex(alphabet: tuple[str, ...], max_len: int) -> Iterator[Word]:
-    """All words of length at most ``max_len``, shortest first, then by
-    alphabet order."""
-    frontier: deque[Word] = deque([()])
-    while frontier:
-        w = frontier.popleft()
-        yield w
-        if len(w) < max_len:
-            frontier.extend(w + (a,) for a in alphabet)
+def _step(t: Transducer, config, letter):
+    """The configuration one ``letter`` after ``config`` (``None`` once undefined)."""
+    nxt = None if config is None else t.transitions.get((config[1], letter))
+    if nxt is None:
+        return None
+    out, target = nxt
+    return (t.monoid.mul(config[0], out), target)
+
+
+def _value(t: Transducer, config) -> PartialValue:
+    """The value ``t`` assigns to a word that leads to ``config``."""
+    return None if config is None else mul_partial(t.monoid, config[0], t.termination[config[1]])
 
 
 def brute_force_diff(t1: Transducer, t2: Transducer, max_len: int) -> Optional[Word]:
     """First word (length-lex order) up to ``max_len`` where evaluations
-    differ, or ``None``.  Pure enumeration; kept free of shortcuts so it can
+    differ, or ``None``.  Pure enumeration: every word is visited, so it can
     serve as the independent oracle for the clever paths."""
+    if t1.monoid != t2.monoid:
+        raise ValueError("machines use different monoids")
     if t1.alphabet != t2.alphabet:
         raise ValueError("machines must share an input alphabet")
-    for w in words_in_length_lex(t1.alphabet, max_len):
-        if t1.eval(w) != t2.eval(w):
+    frontier: deque[tuple[Word, object, object]] = deque([((), t1.initial, t2.initial)])
+    while frontier:
+        w, c1, c2 = frontier.popleft()
+        if _value(t1, c1) != _value(t2, c2):
             return w
+        if len(w) < max_len:
+            frontier.extend((w + (a,), _step(t1, c1, a), _step(t2, c2, a)) for a in t1.alphabet)
     return None
-
-
-def _step(t: Transducer, config, letter):
-    if config is None:
-        return None
-    value, state = config
-    nxt = t.transitions.get((state, letter))
-    if nxt is None:
-        return None
-    out, target = nxt
-    return (t.monoid.mul(value, out), target)
 
 
 def _config_key(m, c1, c2):
@@ -107,9 +106,7 @@ def _first_difference(t1: Transducer, t2: Transducer, max_len: int) -> Optional[
     truncated = False
     while frontier:
         w, c1, c2 = frontier.popleft()
-        v1 = None if c1 is None else mul_partial(m, c1[0], t1.termination[c1[1]])
-        v2 = None if c2 is None else mul_partial(m, c2[0], t2.termination[c2[1]])
-        if v1 != v2:
+        if _value(t1, c1) != _value(t2, c2):
             return w
         for a in t1.alphabet:
             n1, n2 = _step(t1, c1, a), _step(t2, c2, a)

@@ -79,6 +79,16 @@ def learning_target(monoid: Monoid | None = None) -> Transducer:
     )
 
 
+def words_up_to(alphabet: tuple[str, ...], n: int):
+    """All words of length at most ``n``, shortest first, then by alphabet
+    order."""
+    frontier = [()]
+    for w in frontier:
+        yield w
+        if len(w) < n:
+            frontier.extend(w + (a,) for a in alphabet)
+
+
 def random_element(monoid: Monoid, rng: random.Random, max_rank: int = 2):
     if isinstance(monoid, (FreeMonoid, TraceMonoid)):
         n = rng.randint(0, max_rank)

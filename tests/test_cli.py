@@ -149,6 +149,29 @@ def test_equiv_brute_force_mode(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "bb"
 
 
+def test_equiv_negative_max_len_exits_2(capsys):
+    assert main(["equiv", "--left", TARGET, "--right", HYPOTHESIS, "--max-len", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-len" in captured.err
+
+
+@pytest.mark.parametrize("max_len", [[], ["--max-len", "8"]])
+def test_equiv_mismatched_machines_exit_2(tmp_path, capsys, max_len):
+    assert main(["equiv", "--left", BETA_LOOP, "--right", BETA_LOOP_COMMUTATIVE, *max_len]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    doc = json.loads(load_machine("beta_loop_free.json").serialize())
+    doc["alphabet"].append("c")
+    wider = tmp_path / "wider.json"
+    wider.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["equiv", "--left", BETA_LOOP, "--right", str(wider), *max_len]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_equiv_same_file(capsys):
     assert main(["equiv", "--left", TARGET, "--right", TARGET]) == 0
     assert capsys.readouterr().out == "equivalent\n"

@@ -22,18 +22,17 @@ from montrans import (
     total,
 )
 
-from helpers import beta_loop, chain, learning_target, random_machine, standard_monoids
+from helpers import (
+    beta_loop,
+    chain,
+    learning_target,
+    random_machine,
+    standard_monoids,
+    words_up_to,
+)
 
 #: ``montrans.minimize`` names the function the package re-exports.
 minimize_module = importlib.import_module("montrans.minimize")
-
-
-def words_up_to(alphabet, n):
-    frontier = [()]
-    for w in frontier:
-        yield w
-        if len(w) < n:
-            frontier.extend(w + (a,) for a in alphabet)
 
 
 def test_reach_drops_unreachable():

@@ -53,7 +53,16 @@ def test_make_monoid_rejects_bad_specs():
 
 
 def test_monoid_wire_round_trip(monoid):
-    assert monoid_from_wire(monoid.to_wire()) == monoid
+    decoded = monoid_from_wire(monoid.to_wire())
+    assert decoded == monoid
+    assert hash(decoded) == hash(monoid)
+
+
+def test_trace_monoids_differ_by_commutations():
+    commuting = TraceMonoid(("α", "β"), [("α", "β")])
+    free = TraceMonoid(("α", "β"), [])
+    assert commuting != free
+    assert commuting == TraceMonoid(("α", "β"), [("β", "α")])
 
 
 def test_monoid_from_wire_errors():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from montrans import (
     learn,
     membership_oracle,
     minimize,
-    words_in_length_lex,
+    mul_partial,
 )
 from montrans.errors import UnknownLetter
 
@@ -28,8 +29,10 @@ from helpers import (
     equivalent_pair,
     learning_target,
     load_machine,
+    random_element,
     random_machine,
     standard_monoids,
+    words_up_to,
 )
 
 
@@ -43,11 +46,6 @@ def test_membership_oracle_examples():
     assert membership_oracle(loop)(("b", "b")) == loop.monoid.parse("β·β·α")
 
 
-def test_words_in_length_lex():
-    words = list(words_in_length_lex(("a", "b"), 2))
-    assert words == [(), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
-
-
 def test_brute_force_diff_examples():
     commutative_loop = beta_loop("commutative")
     minimal = load_machine("beta_loop_minimal_commutative.json")
@@ -57,6 +55,72 @@ def test_brute_force_diff_examples():
     assert brute_force_diff(target, hypothesis, 1) is None  # differs only at length 2
     assert brute_force_diff(target, hypothesis, 2) == ("b", "b")
     assert brute_force_diff(target, target, 5) is None
+
+
+def test_brute_force_diff_rejects_mismatched_machines():
+    with pytest.raises(ValueError):
+        brute_force_diff(beta_loop("free"), beta_loop("commutative"), 3)
+    with pytest.raises(ValueError):
+        brute_force_diff(learning_target(), replace(learning_target(), alphabet=("a", "b", "c")), 3)
+
+
+def _drop_transition(t: Transducer, rng: random.Random) -> Transducer:
+    kept = dict(t.transitions)
+    if kept:
+        del kept[rng.choice(sorted(kept))]
+    return replace(t, transitions=kept)
+
+
+def _conjugated_pair(m, rng: random.Random) -> tuple[Transducer, Transducer]:
+    """Two equivalent machines over one random graph: with a random ``h(s)``
+    per state, the left one multiplies ``h(target)`` onto the right of each
+    output, the right one multiplies ``h(source)`` onto the left."""
+    base = random_machine(m, rng, max_states=4, alphabet=("a", "b"))
+    h = {s: random_element(m, rng) for s in base.states}
+    initial = None if base.initial is None else (m.mul(base.initial[0], h[base.initial[1]]), base.initial[1])
+    left = replace(
+        base,
+        initial=initial,
+        transitions={k: (m.mul(out, h[d]), d) for k, (out, d) in base.transitions.items()},
+    )
+    right = replace(
+        base,
+        termination={s: mul_partial(m, h[s], v) for s, v in base.termination.items()},
+        transitions={(s, a): (m.mul(h[s], out), d) for (s, a), (out, d) in base.transitions.items()},
+    )
+    return left, right
+
+
+def test_brute_force_diff_matches_eval():
+    """The walk steps configurations with the same ``_step`` as the exact
+    oracle; this checks it against plain ``eval``, word by word."""
+    rng = random.Random(6011)
+    pairs = []
+    for monoid in standard_monoids().values():
+        for _ in range(6):
+            alphabet = ("a", "b")[: rng.randint(1, 2)]
+            pairs.append(
+                tuple(random_machine(monoid, rng, max_states=4, alphabet=alphabet) for _ in range(2))
+            )
+        for _ in range(3):
+            for left, right in (equivalent_pair(monoid, rng), _conjugated_pair(monoid, rng)):
+                pairs += [(left, right), (left, _drop_transition(right, rng))]
+        seed = random_machine(monoid, rng, max_states=3, allow_no_initial=False)
+        pairs += [(replace(seed, initial=None), seed), (seed, replace(seed, initial=None))]
+    assert any(t.initial is None for pair in pairs for t in pair)
+    assert any(None in t.termination.values() for pair in pairs for t in pair)
+    assert any(
+        len(t.transitions) < len(t.states) * len(t.alphabet) for pair in pairs for t in pair
+    )
+    lengths = set()
+    for left, right in pairs:
+        for k in (0, 1, 2, 4):
+            expected = next(
+                (w for w in words_up_to(left.alphabet, k) if left.eval(w) != right.eval(w)), None
+            )
+            assert brute_force_diff(left, right, k) == expected, (left, right, k)
+            lengths.add(None if expected is None else len(expected))
+    assert {None, 0, 1, 2} <= lengths
 
 
 def test_equivalence_oracle_examples():

@@ -17,7 +17,7 @@ from montrans import (
     render_word,
 )
 
-from helpers import DATA, beta_loop, load_machine, random_machine, standard_monoids
+from helpers import DATA, beta_loop, load_machine, random_machine, standard_monoids, words_up_to
 
 
 @pytest.fixture
@@ -130,15 +130,7 @@ def test_reachable_and_productive_are_fixpoints():
                 if target in productive:
                     assert s in productive
             for s in productive:
-                assert any(t.state_eval(s, w) is not None for w in _words(t.alphabet, 6))
-
-
-def _words(alphabet, n):
-    frontier = [()]
-    for w in frontier:
-        yield w
-        if len(w) < n:
-            frontier.extend(w + (a,) for a in alphabet)
+                assert any(t.state_eval(s, w) is not None for w in words_up_to(t.alphabet, 6))
 
 
 def test_dead_prefix_stays_bottom(machine):
