@@ -64,4 +64,7 @@ class NotMinimalInput(MontransError):
 
 
 class SearchBoundExceeded(MontransError):
-    """Counterexample search exhausted its length bound (library bug)."""
+    """A configuration-pair walk found no difference up to its length bound
+    while unexplored pairs lie beyond it: the caller's bound cut the walk
+    short.  Raised under the equivalence oracle's own bound, it is a library
+    bug."""

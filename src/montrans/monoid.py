@@ -17,6 +17,7 @@ multiplication and left-gcds, and ``left_divide(d, None) is None``.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import (
@@ -248,6 +249,11 @@ class TraceMonoid(_WordMonoid):
             g: frozenset(h for pair in pairs if g in pair for h in pair if h != g)
             for g in self.generators
         }
+        #: Each generator mapped to the other generators it does not commute with.
+        self._dependent = {
+            g: tuple(h for h in self.generators if h != g and h not in self._commuting[g])
+            for g in self.generators
+        }
 
     def independent(self, a: str, b: str) -> bool:
         return b in self._commuting.get(a, ())
@@ -263,22 +269,50 @@ class TraceMonoid(_WordMonoid):
                 return None
         return None
 
-    def _normalize(self, seq: Sequence[str]) -> tuple[str, ...]:
-        remaining = list(seq)
-        out = []
-        while remaining:
-            for g in self.generators:
-                i = self._extract_index(remaining, g)
-                if i is not None:
-                    out.append(g)
-                    del remaining[i]
+    def _is_normal(self, word: tuple[str, ...], start: int) -> bool:
+        # Anisimov-Knuth: a word is in lexicographic normal form iff no letter
+        # can move left past a larger letter it commutes with.  Letters before
+        # ``start`` are known to pass; the scan left of each later letter stops
+        # at the first letter it does not commute with.
+        index = self._index
+        for j in range(start, len(word)):
+            a = word[j]
+            commuting, rank = self._commuting[a], index[a]
+            for i in range(j - 1, -1, -1):
+                b = word[i]
+                if b not in commuting:
                     break
-            else:  # pragma: no cover - some letter is always extractable
-                raise AssertionError("no extractable letter in non-empty trace")
+                if index[b] > rank:
+                    return False
+        return True
+
+    def _normalize(self, seq: Sequence[str], start: int = 0) -> tuple[str, ...]:
+        """Lexicographic normal form of ``seq``, whose letters before
+        ``start`` already form a normal word."""
+        word = tuple(seq)
+        if self._is_normal(word, start):
+            return word
+        # Emit the least generator whose next occurrence comes before every
+        # remaining occurrence of the generators it does not commute with.
+        queues: dict[str, deque[int]] = {g: deque() for g in self.generators}
+        for i, g in enumerate(word):
+            queues[g].append(i)
+        out = []
+        for _ in word:
+            for g in self.generators:
+                q = queues[g]
+                if q and all(not queues[h] or queues[h][0] > q[0] for h in self._dependent[g]):
+                    out.append(g)
+                    q.popleft()
+                    break
         return tuple(out)
 
     def mul(self, x, y):
-        return self._normalize(x + y)
+        if not x:
+            return y
+        if not y:
+            return x
+        return self._normalize(x + y, len(x))
 
     def lgcd2(self, x, y):
         rx, ry = list(x), list(y)
@@ -297,6 +331,10 @@ class TraceMonoid(_WordMonoid):
         return tuple(out)
 
     def left_divide(self, d, x):
+        # Every factor of a normal word is normal, so when ``d`` is a word
+        # prefix of ``x`` (the unit always is) the rest of ``x`` is the quotient.
+        if x[: len(d)] == d:
+            return x[len(d) :]
         remaining = list(x)
         for g in d:
             i = self._extract_index(remaining, g)
@@ -330,9 +368,13 @@ class CommutativeMonoid(_GeneratedMonoid):
         return ()
 
     def _from_counts(self, counts: dict[str, int]) -> Element:
-        return tuple((g, counts[g]) for g in self.generators if counts.get(g, 0) > 0)
+        return tuple([(g, counts[g]) for g in self.generators if counts.get(g)])
 
     def mul(self, x, y):
+        if not x:
+            return y
+        if not y:
+            return x
         counts = dict(x)
         for g, n in y:
             counts[g] = counts.get(g, 0) + n
@@ -343,6 +385,8 @@ class CommutativeMonoid(_GeneratedMonoid):
         return tuple((g, min(n, dy[g])) for g, n in x if g in dy and min(n, dy[g]) > 0)
 
     def left_divide(self, d, x):
+        if not d:
+            return x
         counts = dict(x)
         for g, n in d:
             if counts.get(g, 0) < n:

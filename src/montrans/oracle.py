@@ -2,8 +2,9 @@
 
 ``membership_oracle`` and ``equivalence_oracle`` wrap a reference machine as
 the two query functions the learner needs; the equivalence oracle minimizes
-both machines and walks their configuration pairs breadth-first, which both
-proves equivalence and finds the length-lex-first counterexample.
+the reference once, trims each hypothesis, and walks the configuration pairs
+of the two machines breadth-first, which both proves equivalence and finds
+the length-lex-first counterexample.
 ``iso_check`` is the structural check: it decides equality of two minimal
 machines up to state renaming and invertible output factors.
 ``brute_force_diff`` is the dumb word-enumeration oracle used to validate
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import NotDivisible, NotMinimalInput, SearchBoundExceeded, UnknownLetter
-from .minimize import check_minimal, minimize
+from .minimize import check_minimal, minimize, reach, total
 from .monoid import Element, FreeMonoid, PartialValue, mul_partial
 from .transducer import Transducer, Word
 
@@ -128,11 +129,21 @@ def _first_difference(t1: Transducer, t2: Transducer, max_len: int) -> Optional[
 def equivalence_oracle(reference: Transducer) -> Callable[[Transducer], EquivalenceVerdict]:
     """Exact equivalence with counterexample extraction.
 
-    The reference is minimized once, when the oracle is built; each call
-    minimizes the hypothesis and walks the configuration pairs of the two
-    minimal machines (:func:`_first_difference`).  The hypothesis is accepted
-    when the walk runs out of pairs; otherwise the first differing word in
-    length-lex order is returned with both values.
+    The reference is minimized once, when the oracle is built.  Each call
+    trims the hypothesis (``total(reach(hypothesis))``, the hypothesis itself
+    when it is already trim) and walks the configuration pairs of the minimal
+    reference and the trimmed hypothesis (:func:`_first_difference`).  The
+    hypothesis is accepted when the walk runs out of pairs; otherwise the
+    first differing word in length-lex order is returned with both values.
+
+    The walk's bound counts the trimmed states.  On an equivalent trim
+    hypothesis, once the common left-gcd is divided out, a configuration
+    pair's carried values depend only on its two states (the hypothesis
+    state's left-gcd and the unit; for a cyclic group, ``0`` and one fixed
+    residue), so the walk meets fewer pairs than the bound.  The first
+    differing word depends only on the two recognized functions, so the
+    verdict is the one on the minimal hypothesis; the learner's hypotheses
+    are minimal already.
     """
     min_ref = minimize(reference).minimal
 
@@ -141,9 +152,9 @@ def equivalence_oracle(reference: Transducer) -> Callable[[Transducer], Equivale
             raise ValueError("hypothesis and reference use different monoids")
         if hypothesis.alphabet != reference.alphabet:
             raise ValueError("hypothesis and reference use different alphabets")
-        min_hyp = minimize(hypothesis).minimal
-        bound = (len(min_ref.states) + 1) * (len(min_hyp.states) + 1)
-        word = _first_difference(min_ref, min_hyp, bound)
+        trimmed = total(reach(hypothesis))
+        bound = (len(min_ref.states) + 1) * (len(trimmed.states) + 1)
+        word = _first_difference(min_ref, trimmed, bound)
         if word is None:
             return None
         return CounterExample(word, reference.eval(word), hypothesis.eval(word))

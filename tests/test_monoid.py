@@ -148,14 +148,44 @@ def test_trace_independent_matches_commutations(trace):
             assert trace.independent(a, b) == (frozenset((a, b)) in trace.commutations), (a, b)
 
 
-@pytest.mark.parametrize("trace", TRACES, ids=["standard", "four-letter"])
-def test_trace_normal_form_is_least_word_of_class(trace):
+#: ``(x, y, x·y)`` for normal forms ``x`` and ``y`` whose product moves a
+#: letter of ``y`` left past several letters of ``x``.
+SEAMS = [
+    [
+        (("β", "β", "β"), ("α",), ("α", "β", "β", "β")),
+        (("γ", "β", "β"), ("α", "γ"), ("γ", "α", "β", "β", "γ")),
+    ],
+    [
+        (("b", "c", "b"), ("a",), ("a", "b", "c", "b")),
+        (("b", "d", "d"), ("c", "b"), ("b", "c", "b", "d", "d")),
+        (("d", "a", "d"), ("c",), ("c", "d", "a", "d")),
+    ],
+]
+
+
+@pytest.mark.parametrize("trace, seams", zip(TRACES, SEAMS), ids=["standard", "four-letter"])
+def test_trace_normal_form_is_least_word_of_class(trace, seams):
     rng = random.Random(41)
     order = {g: i for i, g in enumerate(trace.generators)}
+
+    def least(word):
+        return min(trace_class(trace, word), key=lambda w: [order[g] for g in w])
+
+    def random_word():
+        return tuple(rng.choice(trace.generators) for _ in range(rng.randint(0, 6)))
+
     for _ in range(300):
-        word = tuple(rng.choice(trace.generators) for _ in range(rng.randint(0, 6)))
-        least = min(trace_class(trace, word), key=lambda w: [order[g] for g in w])
-        assert trace._normalize(word) == least, word
+        word = random_word()
+        assert trace._normalize(word) == least(word), word
+    for x, y, product in seams:
+        assert trace.mul(x, y) == product
+    pairs = [(x, y) for x, y, _ in seams]
+    pairs += [(least(random_word()), least(random_word())) for _ in range(300)]
+    for x, y in pairs:
+        assert least(x) == x and least(y) == y
+        product = trace.mul(x, y)
+        assert product == least(x + y), (x, y)
+        assert trace.left_divide(x, product) == y, (x, y)
 
 
 def test_parse_render_round_trip(monoid):
@@ -244,9 +274,11 @@ CASES = 200
 
 def test_law_associativity_and_unit(monoid):
     rng = random.Random(101)
+    e = monoid.unit()
     for _ in range(CASES):
         x, y, z = (random_element(monoid, rng) for _ in range(3))
-        assert monoid.mul(x, monoid.mul(y, z)) == monoid.mul(monoid.mul(x, y), z)
+        for a, b, c in ((x, y, z), (e, y, z), (x, e, z), (x, y, e), (e, e, e)):
+            assert monoid.mul(a, monoid.mul(b, c)) == monoid.mul(monoid.mul(a, b), c)
         assert monoid.mul(monoid.unit(), x) == x
         assert monoid.mul(x, monoid.unit()) == x
 
@@ -289,10 +321,12 @@ def test_law_red_idempotence(monoid):
 
 def test_law_divide_round_trip(monoid):
     rng = random.Random(106)
+    e = monoid.unit()
     for _ in range(CASES):
         d = random_element(monoid, rng)
         x = random_element(monoid, rng)
-        assert monoid.left_divide(d, monoid.mul(d, x)) == x
+        for a, b in ((d, x), (e, x), (d, e), (e, e)):
+            assert monoid.left_divide(a, monoid.mul(a, b)) == b
 
 
 def test_law_lgcd_divides(monoid):

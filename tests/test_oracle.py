@@ -15,12 +15,14 @@ from montrans import (
     Transducer,
     adversarial_oracle,
     brute_force_diff,
+    check_minimal,
     equivalence_oracle,
     iso_check,
     learn,
     membership_oracle,
     minimize,
     mul_partial,
+    state_lgcds,
 )
 from montrans.errors import UnknownLetter
 
@@ -135,6 +137,7 @@ def test_equivalence_oracle_examples():
     )
     loop_oracle = equivalence_oracle(beta_loop("commutative"))
     assert loop_oracle(load_machine("beta_loop_minimal_commutative.json")) is None
+    assert loop_oracle(beta_loop("commutative")) is None  # not trim: walked once trimmed
 
 
 def test_equivalence_oracle_minimizes_reference_once(monkeypatch):
@@ -148,8 +151,7 @@ def test_equivalence_oracle_minimizes_reference_once(monkeypatch):
     target = learning_target()
     _, stats = learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
     assert stats.equivalence_queries == 2
-    assert len(calls) == 1 + stats.equivalence_queries
-    assert calls[0] is target
+    assert calls == [target]
 
 
 def test_equivalence_oracle_makes_no_structural_check(monkeypatch):
@@ -193,6 +195,40 @@ def test_equivalence_oracle_matches_brute_force():
         verdicts.append(verdict is None)
     assert verdicts[:2] == [True, True]  # the χ = 2 pair, both directions
     assert verdicts.count(True) > 2 and verdicts.count(False) > 2
+
+
+def test_equivalence_oracle_on_learner_hypotheses_needs_no_minimization():
+    """Every learner hypothesis is minimal already, and the oracle's verdict
+    on it, walked as built, is the verdict on its minimization."""
+    rng = random.Random(37)
+    targets = [learning_target()] + [
+        random_machine(monoid, rng, max_states=6, max_letters=3)
+        for monoid in standard_monoids().values()
+        for _ in range(20)
+    ]
+    shifted = 0  # cyclic-group hypotheses with a non-unit state left-gcd
+    for target in targets:
+        hypotheses = []
+
+        def observer(event, payload):
+            if event == "hypothesis":
+                hypotheses.append(payload)
+
+        oracle = equivalence_oracle(target)
+        learn(target.monoid, target.alphabet, target.eval, oracle, observer=observer)
+        min_ref = minimize(target).minimal
+        for h in hypotheses:
+            assert check_minimal(h)
+            min_h = minimize(h).minimal
+            bound = (len(min_ref.states) + 1) * (len(min_h.states) + 1)
+            word = montrans.oracle._first_difference(min_ref, min_h, bound)
+            expected = None if word is None else (word, target.eval(word), h.eval(word))
+            verdict = oracle(h)
+            got = None if verdict is None else (verdict.word, verdict.left_value, verdict.right_value)
+            assert got == expected, (target, h)
+            if isinstance(h.monoid, CyclicGroup):
+                shifted += any(v != 0 for v in state_lgcds(h).values())
+    assert shifted > 0
 
 
 def test_equivalence_oracle_rejects_mismatched_machines():
