@@ -28,6 +28,15 @@ Consistency defects come in three kinds, checked in a fixed order:
 * ``INV`` -- a row's left-gcd fails to left-divide one of its extensions;
 * ``INJ`` -- two merged rows have defined extensions that break the merge.
 
+INV and INJ are decided per row from the cached left-gcds, not per cell.
+In a gcd monoid ``lambda(q, e)`` divides every value of the ``(q, a)`` row
+exactly when it divides that row's left-gcd ``lambda(q, a)``.  A value of
+the row is ``lambda(q, a) · r(q, a, t)`` and reduced rows have a unit
+left-gcd, so two merged prefixes agree on ``lambda(q, e)\\value`` for every
+suffix exactly when they agree on ``r(q, a, ·)`` and on
+``lambda(q, e)\\lambda(q, a)``.  The cells of a row are scanned only to
+name the first suffix of a defect found that way.
+
 All scans run in deterministic order (``Q`` insertion order, alphabet order,
 ``T`` insertion order, closure before consistency) so runs are reproducible.
 """
@@ -233,23 +242,37 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
                     if defined != (other[i] is not None):
                         return Defect(DefectKind.TOT, (a,) + t)
 
-    # Row left-gcds must left-divide every defined extension value.
+    # Row left-gcds must left-divide every defined extension value, that is
+    # the extension's left-gcd; cells are scanned only to name the suffix.
+    lam = table.lam
     for q in table.prefixes:
-        g = table.lam[(q, "")]
+        g = lam[(q, "")]
         if g is None:
             continue
         for a in table.alphabet:
+            ext = lam[(q, a)]
+            if ext is None or m.divides(g, ext):
+                continue
             for t in table.suffixes:
                 v = table.raw_value(q, a, t)
                 if v is not None and not m.divides(g, v):
                     return Defect(DefectKind.INV, (a,) + t)
 
-    # Merged rows must keep matching after the extension.
+    # Merged rows must keep matching after the extension: on the reduced
+    # extension row and on the quotient of the two left-gcds.
     for q, *rest in classes.values():
-        g = table.lam[(q, "")]
+        g = lam[(q, "")]
         if g is None or not rest:
             continue
         for a in table.alphabet:
+            ext = lam[(q, a)]
+            if ext is None:
+                continue
+            key = (row(q, a), m.left_divide(g, ext))
+            if all(
+                (row(q2, a), m.left_divide(lam[(q2, "")], lam[(q2, a)])) == key for q2 in rest
+            ):
+                continue
             for t in table.suffixes:
                 v1 = table.raw_value(q, a, t)
                 if v1 is None:
@@ -257,7 +280,7 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
                 d1 = m.left_divide(g, v1)
                 for q2 in rest:
                     v2 = table.raw_value(q2, a, t)
-                    if d1 != m.left_divide(table.lam[(q2, "")], v2):
+                    if d1 != m.left_divide(lam[(q2, "")], v2):
                         return Defect(DefectKind.INJ, (a,) + t)
     return None
 

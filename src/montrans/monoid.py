@@ -401,7 +401,7 @@ class CommutativeMonoid(_GeneratedMonoid):
         counts: dict[str, int] = {}
         for g, n in tuple(payload):
             self._check_letter(g)
-            if not isinstance(n, int) or n <= 0:
+            if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
                 raise MalformedElement(f"counts must be positive integers, got {n!r} for {g!r}")
             counts[g] = counts.get(g, 0) + n
         return self._from_counts(counts)

@@ -1,10 +1,16 @@
 """Oracles for the learner and for cross-validation.
 
 ``membership_oracle`` and ``equivalence_oracle`` wrap a reference machine as
-the two query functions the learner needs; the equivalence oracle minimizes
-the reference once, trims each hypothesis, and walks the configuration pairs
-of the two machines breadth-first, which both proves equivalence and finds
-the length-lex-first counterexample.
+the two query functions the learner needs; the equivalence oracle trims both
+machines and walks their configuration pairs breadth-first, which both proves
+equivalence and finds the length-lex-first counterexample.  Neither machine
+is minimized: on two equivalent trim machines a configuration pair's key
+``(s₁, s₂, a, b)`` is fixed by its state pair, since ``a·β(s₁) = b·β(s₂)``
+with ``β`` a state's left-gcd and ``lgcd(a, b) = 1``, and in these gcd
+monoids that coprime pair is unique (for a cyclic group it is ``(0, χ)``,
+with ``χ`` fixed once the state's function is defined somewhere).  This is
+the delay argument of Béal, Carton, Prieur and Sakarovitch (*Squaring
+transducers*, 2003), so the walk meets at most one key per state pair.
 ``iso_check`` is the structural check: it decides equality of two minimal
 machines up to state renaming and invertible output factors.
 ``brute_force_diff`` is the dumb word-enumeration oracle used to validate
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import NotDivisible, NotMinimalInput, SearchBoundExceeded, UnknownLetter
-from .minimize import check_minimal, minimize, reach, total
+from .minimize import check_minimal, reach, total
 from .monoid import Element, FreeMonoid, PartialValue, mul_partial
 from .transducer import Transducer, Word
 
@@ -129,23 +135,21 @@ def _first_difference(t1: Transducer, t2: Transducer, max_len: int) -> Optional[
 def equivalence_oracle(reference: Transducer) -> Callable[[Transducer], EquivalenceVerdict]:
     """Exact equivalence with counterexample extraction.
 
-    The reference is minimized once, when the oracle is built.  Each call
-    trims the hypothesis (``total(reach(hypothesis))``, the hypothesis itself
-    when it is already trim) and walks the configuration pairs of the minimal
-    reference and the trimmed hypothesis (:func:`_first_difference`).  The
-    hypothesis is accepted when the walk runs out of pairs; otherwise the
-    first differing word in length-lex order is returned with both values.
+    The reference is trimmed once, when the oracle is built, and each call
+    trims the hypothesis (``total(reach(·))`` keeps a machine that is already
+    trim as it is).  The two trimmed machines' configuration pairs are walked
+    by :func:`_first_difference`.  The hypothesis is accepted when the walk
+    runs out of pairs; otherwise the first differing word in length-lex order
+    is returned with both values.
 
-    The walk's bound counts the trimmed states.  On an equivalent trim
-    hypothesis, once the common left-gcd is divided out, a configuration
-    pair's carried values depend only on its two states (the hypothesis
-    state's left-gcd and the unit; for a cyclic group, ``0`` and one fixed
-    residue), so the walk meets fewer pairs than the bound.  The first
-    differing word depends only on the two recognized functions, so the
-    verdict is the one on the minimal hypothesis; the learner's hypotheses
-    are minimal already.
+    The walk's bound counts the trimmed states.  On two equivalent trim
+    machines the key of a configuration pair, its carried values once their
+    common left-gcd is divided out, depends only on its two states (see the
+    module docstring), so the walk meets fewer pairs than the bound.  The
+    first differing word depends only on the two recognized functions, so
+    the verdict is the one on the two minimal machines.
     """
-    min_ref = minimize(reference).minimal
+    ref = total(reach(reference))
 
     def oracle(hypothesis: Transducer) -> EquivalenceVerdict:
         if hypothesis.monoid != reference.monoid:
@@ -153,8 +157,8 @@ def equivalence_oracle(reference: Transducer) -> Callable[[Transducer], Equivale
         if hypothesis.alphabet != reference.alphabet:
             raise ValueError("hypothesis and reference use different alphabets")
         trimmed = total(reach(hypothesis))
-        bound = (len(min_ref.states) + 1) * (len(trimmed.states) + 1)
-        word = _first_difference(min_ref, trimmed, bound)
+        bound = (len(ref.states) + 1) * (len(trimmed.states) + 1)
+        word = _first_difference(ref, trimmed, bound)
         if word is None:
             return None
         return CounterExample(word, reference.eval(word), hypothesis.eval(word))

@@ -210,7 +210,8 @@ def _expect(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise SchemaError(f"{path}.{key}", "missing field")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON booleans load as ``bool``, a subclass of ``int``.
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise SchemaError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 

@@ -29,7 +29,8 @@ from montrans import (
     process_counterexample,
     red_row,
 )
-from montrans.learner import EMPTY
+import montrans.learner
+from montrans.learner import EMPTY, Defect, _row_classes
 
 from helpers import learning_target, load_machine, random_machine, standard_monoids
 
@@ -127,6 +128,63 @@ def test_incremental_fill_matches_whole_table_refactor(monkeypatch):
     # The re-divide branch runs wherever a left-gcd can shrink; the worked
     # free-monoid run shrinks the empty prefix's left-gcd from α to ε.
     assert all(shrunk[kind] > 0 for kind in ("free", "trace", "commutative", "nat-add")), shrunk
+
+
+def _cell_scan_inv_inj(table: ObservationTable):
+    """The INV and INJ scans decided cell by cell: every defined extension
+    value is divided by its row's left-gcd, and merged rows are compared
+    quotient by quotient."""
+    m = table.monoid
+    for q in table.prefixes:
+        g = table.lam[(q, "")]
+        if g is None:
+            continue
+        for a in table.alphabet:
+            for t in table.suffixes:
+                v = table.raw_value(q, a, t)
+                if v is not None and not m.divides(g, v):
+                    return Defect(DefectKind.INV, (a,) + t)
+    for q, *rest in _row_classes(table).values():
+        g = table.lam[(q, "")]
+        if g is None or not rest:
+            continue
+        for a in table.alphabet:
+            for t in table.suffixes:
+                v1 = table.raw_value(q, a, t)
+                if v1 is None:
+                    continue
+                d1 = m.left_divide(g, v1)
+                for q2 in rest:
+                    v2 = table.raw_value(q2, a, t)
+                    if d1 != m.left_divide(table.lam[(q2, "")], v2):
+                        return Defect(DefectKind.INJ, (a,) + t)
+    return None
+
+
+def test_row_level_defect_search_matches_cell_scan(monkeypatch):
+    """Wherever ``find_defect`` reaches its INV and INJ scans, deciding them
+    from the cached left-gcds and reduced rows finds the defect the cell by
+    cell scan finds."""
+    real = find_defect
+    seen = Counter()
+
+    def checked_find_defect(table):
+        defect = real(table)
+        if defect is None or defect.kind in (DefectKind.INV, DefectKind.INJ):
+            assert defect == _cell_scan_inv_inj(table), (table.monoid.kind, defect)
+        seen[None if defect is None else defect.kind] += 1
+        return defect
+
+    monkeypatch.setattr(montrans.learner, "find_defect", checked_find_defect)
+    rng = random.Random(36)
+    targets = [learning_target()] + [
+        random_machine(monoid, rng, max_states=6, max_letters=3)
+        for monoid in standard_monoids().values()
+        for _ in range(20)
+    ]
+    for target in targets:
+        learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    assert all(seen[kind] > 0 for kind in DefectKind), seen
 
 
 # -- the worked learning run ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from montrans import (
     mul_partial,
     state_lgcds,
 )
+from montrans.cli import main
 from montrans.errors import UnknownLetter
 
 from helpers import (
@@ -140,18 +142,27 @@ def test_equivalence_oracle_examples():
     assert loop_oracle(beta_loop("commutative")) is None  # not trim: walked once trimmed
 
 
-def test_equivalence_oracle_minimizes_reference_once(monkeypatch):
+def test_equivalence_oracle_never_minimizes(monkeypatch, tmp_path):
+    """A learning run and a CLI equivalence query trim both machines and walk
+    them; no stage of ``minimize`` runs (``state_lgcds`` is its pushing
+    stage's fixpoint)."""
     calls = []
-
-    def counting_minimize(t, *args):
-        calls.append(t)
-        return minimize(t, *args)
-
-    monkeypatch.setattr(montrans.oracle, "minimize", counting_minimize)
+    stages = importlib.import_module("montrans.minimize")  # the package exports a same-named function
+    real = stages.state_lgcds
+    monkeypatch.setattr(stages, "state_lgcds", lambda *args: calls.append(args) or real(*args))
     target = learning_target()
     _, stats = learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
     assert stats.equivalence_queries == 2
-    assert calls == [target]
+    left, right = equivalent_pair(target.monoid, random.Random(7))
+    argv = ["equiv"]
+    for side, machine in (("left", left), ("right", right)):
+        path = tmp_path / f"{side}.json"
+        path.write_text(machine.serialize(), encoding="utf-8")
+        argv += [f"--{side}", str(path)]
+    assert main(argv) == 0
+    assert calls == []
+    minimize(target)  # the patch does see minimization
+    assert calls
 
 
 def test_equivalence_oracle_makes_no_structural_check(monkeypatch):
@@ -195,6 +206,73 @@ def test_equivalence_oracle_matches_brute_force():
         verdicts.append(verdict is None)
     assert verdicts[:2] == [True, True]  # the χ = 2 pair, both directions
     assert verdicts.count(True) > 2 and verdicts.count(False) > 2
+
+
+def _trace_order_pair() -> tuple[Transducer, Transducer]:
+    """Equivalent trace-monoid machines whose start states' left-gcds are
+    built as α·β on the left and as β·α on the right: the left one writes α
+    before the loop and β after it, the right one the other way round."""
+    trace = standard_monoids()["trace"]
+    p = trace.parse
+
+    def machine(first: str, second: str) -> Transducer:
+        return Transducer(
+            monoid=trace,
+            alphabet=("a", "b"),
+            states=("p", "q"),
+            initial=(p("ε"), "p"),
+            termination={"p": None, "q": p(f"{second}·γ")},
+            transitions={
+                ("p", "a"): (p(first), "q"),
+                ("q", "b"): (p(f"{second}·{first}"), "q"),
+            },
+        )
+
+    return machine("α", "β"), machine("β", "α")
+
+
+def _verdict_on_minimal(left: Transducer, right: Transducer):
+    """The oracle's verdict as walked on the two minimal machines."""
+    min_left, min_right = minimize(left).minimal, minimize(right).minimal
+    bound = (len(min_left.states) + 1) * (len(min_right.states) + 1)
+    word = montrans.oracle._first_difference(min_left, min_right, bound)
+    return None if word is None else (word, min_left.eval(word), min_right.eval(word))
+
+
+def test_equivalence_oracle_trimmed_walk_matches_minimal_walk():
+    """Walking the trimmed reference instead of its minimization changes no
+    verdict, and no equivalent pair runs past the walk's bound."""
+    rng = random.Random(5021)
+    trace_left, trace_right = _trace_order_pair()
+    trace = trace_left.monoid
+    assert state_lgcds(trace_left)["p"] == trace.parse("α·β")
+    assert state_lgcds(trace_right)["p"] == trace.parse("β·α")
+    equivalent = [group_scaling_pair(), (trace_left, trace_right)]
+    different = []
+    for monoid in standard_monoids().values():
+        for _ in range(8):
+            equivalent.append(equivalent_pair(monoid, rng))
+            equivalent.append(_conjugated_pair(monoid, rng))
+        for _ in range(12):
+            alphabet = ("a", "b")[: rng.randint(1, 2)]
+            different.append(
+                tuple(random_machine(monoid, rng, max_states=4, alphabet=alphabet) for _ in range(2))
+            )
+    equivalent += [pair[::-1] for pair in equivalent]
+    unit_free = 0  # references with a non-unit state left-gcd
+    for left, right in equivalent:
+        assert equivalence_oracle(left)(right) is None
+        assert _verdict_on_minimal(left, right) is None
+        unit = left.monoid.unit()
+        unit_free += any(v not in (None, unit) for v in state_lgcds(left).values())
+    assert unit_free > len(equivalent) // 4
+    refuted = 0
+    for left, right in different:
+        verdict = equivalence_oracle(left)(right)
+        got = None if verdict is None else (verdict.word, verdict.left_value, verdict.right_value)
+        assert got == _verdict_on_minimal(left, right), (left, right)
+        refuted += verdict is not None
+    assert refuted > len(different) // 2
 
 
 def test_equivalence_oracle_on_learner_hypotheses_needs_no_minimization():

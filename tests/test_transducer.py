@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from montrans import (
     SchemaError,
@@ -16,6 +20,8 @@ from montrans import (
     parse_word,
     render_word,
 )
+
+from montrans.cli import main
 
 from helpers import DATA, beta_loop, load_machine, random_machine, standard_monoids, words_up_to
 
@@ -175,7 +181,7 @@ def test_golden_files_round_trip():
         assert deserialize(machine.serialize()) == machine
 
 
-def test_deserialize_schema_errors(machine):
+def test_deserialize_schema_errors(machine, tmp_path):
     doc = machine.serialize()
     with pytest.raises(SchemaError, match=r"transitions\[0\].to"):
         deserialize(doc.replace('"to": "2"', '"to": "9"'))
@@ -205,6 +211,19 @@ def test_deserialize_schema_errors(machine):
         )
     with pytest.raises(SchemaError, match="modulus"):
         deserialize(with_monoid({"kind": "cyclic-group", "modulus": True}))
+
+    # JSON booleans are not integers, although Python's ``bool`` is an ``int``.
+    commutative = (DATA / "beta_loop_commutative.json").read_text(encoding="utf-8")
+    bool_docs = {
+        r"\$\.format_version": doc.replace('"format_version": 1', '"format_version": true'),
+        r"termination\.1": commutative.replace('"α": 1', '"α": true', 1),
+    }
+    for i, (where, text) in enumerate(bool_docs.items()):
+        with pytest.raises(SchemaError, match=where):
+            deserialize(text)
+        path = tmp_path / f"bool{i}.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["eval", "--machine", str(path), "b"]) == 2
 
 
 def test_deserialize_canonicalizes_with_warning():
@@ -270,3 +289,99 @@ def test_mul_partial_threads_through_eval(machine):
         out, state = machine.transitions[(state, a)]
         value = m.mul(value, out)
     assert mul_partial(m, value, machine.termination[state]) == machine.eval(("b", "b"))
+
+
+# -- the input boundary under fuzzing ------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _valid_documents() -> list:
+    rng = random.Random(71)
+    return [
+        json.loads(random_machine(monoid, rng, max_states=3, alphabet=("a", "b")).serialize())
+        for monoid in standard_monoids().values()
+    ]
+
+
+VALID_DOCUMENTS = _valid_documents()
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _swap_type(value):
+    """A value of another JSON type that still resembles ``value``."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, list):
+        return {str(i): v for i, v in enumerate(value)}
+    if isinstance(value, dict):
+        return list(value.values())
+    return False
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid machine document with one to three keys dropped, values
+    swapped for another type, or ``true``/``null``/nested lists injected."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))[1:]))
+        *parents, key = path
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        operation = draw(st.sampled_from(("drop", "swap", "inject", "arbitrary")))
+        if operation == "drop":
+            del parent[key]
+        elif operation == "swap":
+            parent[key] = _swap_type(parent[key])
+        elif operation == "inject":
+            parent[key] = draw(st.sampled_from((True, False, None, [[]], [[parent[key]]])))
+        else:
+            parent[key] = draw(json_values)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def machine_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "machine.json"
+
+
+def _check_boundary(doc, machine_file) -> None:
+    text = json.dumps(doc, ensure_ascii=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            assert isinstance(deserialize(text), Transducer)
+        except SchemaError:
+            pass
+        machine_file.write_text(text, encoding="utf-8")
+        assert main(["eval", "--machine", str(machine_file), "ab"]) in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(json_values)
+def test_deserialize_fuzz_arbitrary_json(machine_file, doc):
+    """Any JSON value is a machine or a :class:`SchemaError`; ``eval`` on it
+    exits 0, 2 or 3 without a traceback."""
+    _check_boundary(doc, machine_file)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_documents())
+def test_deserialize_fuzz_mutated_documents(machine_file, doc):
+    _check_boundary(doc, machine_file)
