@@ -4,17 +4,21 @@ Subcommands: ``eval``, ``minimize``, ``learn``, ``equiv`` and
 ``demo nontermination``.  Exit codes: 0 success / equivalent, 1
 counterexample found, 2 error (bad file, unknown letter, ...), 3 undefined
 evaluation result, 4 learning budget exceeded.  Output files are written
-whole or not at all.
+only after the command's computation has succeeded.
+
+``main`` may be called any number of times in one process; the argument
+parser is built on the first call and shared by the later ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-from .errors import BudgetExceeded, MontransError
+from .errors import BudgetExceeded, MontransError, SchemaError
 from .learner import LearnLimits, learn
 from .minimize import minimize
 from .monoid import FreeMonoid, TraceMonoid, render_partial
@@ -29,7 +33,11 @@ from .transducer import Transducer, deserialize, parse_word, render_word
 
 
 def _load(path: str) -> Transducer:
-    return deserialize(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$", f"not UTF-8 text: {exc}") from None
+    return deserialize(text)
 
 
 def _write(path: str, text: str) -> None:
@@ -184,7 +192,14 @@ def cmd_demo_nontermination(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``montrans`` argument parser, built once per process.
+
+    Each subcommand's ``func`` looks its ``cmd_*`` handler up in this
+    module's globals when it is called, not when the parser is built, so a
+    handler patched after the first ``main`` call still receives the call.
+    """
     parser = argparse.ArgumentParser(
         prog="montrans",
         description="Transducers with monoid outputs: evaluate, minimize, compare, learn.",
@@ -194,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a machine on a word")
     p.add_argument("--machine", required=True, help="machine JSON file")
     p.add_argument("word", help="input word (letters joined by ·, or bare if single-char)")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=lambda args: cmd_eval(args))
 
     p = sub.add_parser("minimize", help="write the minimal equivalent machine")
     p.add_argument("--machine", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--emit-stages", action="store_true", help="also write the three intermediate stages and a merge-witness report")
     p.add_argument("--dot", action="store_true", help="also write a Graphviz .dot rendering")
-    p.set_defaults(func=cmd_minimize)
+    p.set_defaults(func=lambda args: cmd_minimize(args))
 
     p = sub.add_parser("learn", help="learn a machine from membership/equivalence queries against a target file")
     p.add_argument("--target", required=True)
@@ -210,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=1000, help="prefix-set size cap (default 1000)")
     p.add_argument("--max-iterations", type=int, default=10_000)
     p.add_argument("--dot", action="store_true")
-    p.set_defaults(func=cmd_learn)
+    p.set_defaults(func=lambda args: cmd_learn(args))
 
     p = sub.add_parser("equiv", help="decide whether two machines recognize the same function")
     p.add_argument("--left", required=True)
@@ -223,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="use the brute-force word check up to this length (8 if given bare) instead of the exact oracle",
     )
-    p.set_defaults(func=cmd_equiv)
+    p.set_defaults(func=lambda args: cmd_equiv(args))
 
     p = sub.add_parser("demo", help="built-in scenarios")
     scenarios = p.add_subparsers(dest="scenario", required=True)
     n = scenarios.add_parser("nontermination", help="free-monoid learning that never converges vs. its trace-monoid repair")
     n.add_argument("--cap", type=int, default=25, help="prefix-set size cap for the diverging phase (default 25)")
-    n.set_defaults(func=cmd_demo_nontermination)
+    n.set_defaults(func=lambda args: cmd_demo_nontermination(args))
 
     return parser
 

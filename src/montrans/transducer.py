@@ -228,9 +228,11 @@ def _decode_element(monoid: Monoid, value, path: str) -> Element:
 
 def deserialize(text: str) -> Transducer:
     """Parse and validate a machine document; raises :class:`SchemaError`."""
+    # ValueError covers JSONDecodeError and integers past the digit limit;
+    # RecursionError, nesting deeper than the recursion limit.
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a JSON object")

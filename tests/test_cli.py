@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import montrans.cli
 from montrans import check_minimal, deserialize, iso_check, minimize
 from montrans.cli import main
 
@@ -43,6 +48,14 @@ def test_eval_bad_file_exits_2(tmp_path, capsys):
     bad.write_text("{}", encoding="utf-8")
     assert main(["eval", "--machine", str(bad), "a"]) == 2
     assert main(["eval", "--machine", str(tmp_path / "missing.json"), "a"]) == 2
+
+
+def test_eval_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    text = load_machine("beta_loop_free.json").serialize()
+    bad.write_bytes(text.encode("utf-8").replace(b'"b"', '"é"'.encode("latin-1")))  # a Latin-1 letter
+    assert main(["eval", "--machine", str(bad), "b"]) == 2
+    assert capsys.readouterr().err.startswith("error: $: not UTF-8")
 
 
 def test_eval_malformed_monoid_exits_2(tmp_path, capsys):
@@ -211,3 +224,54 @@ def test_demo_is_deterministic(capsys):
 def test_usage_errors(args):
     with pytest.raises(SystemExit):
         main(args)
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('parser built at import')\n"
+        "argparse.ArgumentParser.__init__ = refuse\n"
+        "import montrans, montrans.cli\n"
+    )
+    src = Path(montrans.cli.__file__).parents[1]
+    subprocess.run([sys.executable, "-c", probe], check=True, env={"PYTHONPATH": str(src)})
+
+
+def test_repeated_calls_build_the_parser_once(monkeypatch):
+    assert main(["eval", "--machine", BETA_LOOP, "bb"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(a) or init(self, *a, **kw)
+    )
+    assert main(["eval", "--machine", BETA_LOOP, "bb"]) == 0
+    assert main(["equiv", "--left", TARGET, "--right", TARGET]) == 0
+    assert main(["demo", "nontermination", "--cap", "2"]) == 0
+    assert built == []
+
+
+def test_repeated_calls_carry_no_flags(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "learned.json"
+    assert main(["learn", "--target", TARGET, "-o", str(out), "--stats"]) == 0
+    assert json.loads(capsys.readouterr().out)["equivalence_queries"] == 2
+    assert main(["learn", "--target", TARGET, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+
+    paths = []
+    brute, exact = montrans.cli.brute_force_diff, montrans.cli.equivalence_oracle
+    monkeypatch.setattr(montrans.cli, "brute_force_diff", lambda *a: paths.append("brute") or brute(*a))
+    monkeypatch.setattr(montrans.cli, "equivalence_oracle", lambda m: paths.append("exact") or exact(m))
+    assert main(["equiv", "--left", TARGET, "--right", HYPOTHESIS, "--max-len", "3"]) == 1
+    assert main(["equiv", "--left", TARGET, "--right", HYPOTHESIS]) == 1
+    assert paths == ["brute", "exact"]
+    assert capsys.readouterr().out.splitlines()[3] == "bb"
+
+
+def test_handler_patched_after_first_call_receives_the_call(monkeypatch, capsys):
+    assert main(["eval", "--machine", BETA_LOOP, "bb"]) == 0
+    seen = []
+    monkeypatch.setattr(montrans.cli, "cmd_eval", lambda args: seen.append(args.word) or 7)
+    assert main(["eval", "--machine", BETA_LOOP, "ab"]) == 7
+    assert seen == ["ab"]
+    assert capsys.readouterr().out == "β·β·α\n"

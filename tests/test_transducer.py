@@ -191,6 +191,10 @@ def test_deserialize_schema_errors(machine, tmp_path):
         deserialize(doc.replace('"state": "1"', '"state": "7"'))
     with pytest.raises(SchemaError):
         deserialize("not json")
+    with pytest.raises(SchemaError, match=r"^\$: invalid JSON"):
+        deserialize("[" * 100_000 + "]" * 100_000)  # deeper than the recursion limit
+    with pytest.raises(SchemaError, match=r"^\$: invalid JSON"):
+        deserialize(doc.replace('"format_version": 1', '"format_version": 1' + "0" * 5000))  # past the digit limit
     with pytest.raises(SchemaError, match="duplicate transition"):
         dup = machine.serialize().replace(
             '"letter": "a"', '"letter": "b"', 1
