@@ -132,7 +132,7 @@ def cmd_equiv(args) -> int:
     if verdict is None:
         print("equivalent")
         return 0
-    print(render_word(verdict.word))
+    print(render_word(verdict.word, left.alphabet))
     print(f"left:  {left.render_value(verdict.left_value)}")
     print(f"right: {right.render_value(verdict.right_value)}")
     return 1
@@ -157,7 +157,7 @@ def cmd_demo_nontermination(args) -> int:
         suffixes = ", ".join(render_word(t) for t in table.suffixes)
         print(f"  T = [{suffixes}]")
         for q in table.prefixes:
-            print(f"  Λ({render_word(q)}) = {render_partial(monoid, table.lam[(q, '')])}")
+            print(f"  Λ({render_word(q)}) = {render_partial(monoid, table.lam[q])}")
         print(f"  stopped: |Q| = {len(table.prefixes)} > cap {args.cap}")
         print(f"  equivalence queries = {exc.stats.equivalence_queries}")
     else:  # pragma: no cover - the adversary forces the cap

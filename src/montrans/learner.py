@@ -2,13 +2,14 @@
 queries.
 
 The learner maintains an observation table over a prefix-closed set ``Q`` and
-a suffix-closed set ``T`` of input words.  For every prefix ``q`` and column
-``x`` in the alphabet extended with the empty word, the raw row of target
-values over ``T`` is factored as ``lambda(q, x) · r(q, x, ·)`` with
-``lambda`` the row's left-gcd and ``r`` its left-coprime residual.  A table
-with no closure or consistency defect assembles into a hypothesis machine,
-which an equivalence oracle either accepts or refutes with a counterexample
-word whose prefixes are then added to ``Q``.
+a suffix-closed set ``T`` of input words.  It keeps one row per word ``w`` of
+``Q ∪ Q·A``, with ``A`` the alphabet: the raw row of target values
+``f(w·t)`` over ``t`` in ``T`` is factored as ``λ(w) · r(w, ·)`` with
+``λ(w)`` the row's left-gcd and ``r(w, ·)`` its left-coprime residual.
+A word that is both an extension ``q·a`` and a prefix has a single row.  A
+table with no closure or consistency defect assembles into a hypothesis
+machine, which an equivalence oracle either accepts or refutes with a
+counterexample word whose prefixes are then added to ``Q``.
 
 The factorization is incremental: refilling the table folds each row's
 left-gcd over its new cells only and divides only those cells, unless the
@@ -16,9 +17,9 @@ left-gcd shrank, in which case the whole row is divided again.
 
 Residual rows are canonical: two rows that agree up to an invertible left
 factor have equal residuals.  So two prefixes have *merged rows*, and stand
-for the same hypothesis state, exactly when their reduced state rows are
-equal tuples; defect search and hypothesis construction index the state
-rows by that tuple.
+for the same hypothesis state, exactly when their reduced rows are equal
+tuples; defect search and hypothesis construction index the prefixes' rows
+by that tuple.
 
 Consistency defects come in three kinds, checked in a fixed order:
 
@@ -29,13 +30,12 @@ Consistency defects come in three kinds, checked in a fixed order:
 * ``INJ`` -- two merged rows have defined extensions that break the merge.
 
 INV and INJ are decided per row from the cached left-gcds, not per cell.
-In a gcd monoid ``lambda(q, e)`` divides every value of the ``(q, a)`` row
-exactly when it divides that row's left-gcd ``lambda(q, a)``.  A value of
-the row is ``lambda(q, a) · r(q, a, t)`` and reduced rows have a unit
-left-gcd, so two merged prefixes agree on ``lambda(q, e)\\value`` for every
-suffix exactly when they agree on ``r(q, a, ·)`` and on
-``lambda(q, e)\\lambda(q, a)``.  The cells of a row are scanned only to
-name the first suffix of a defect found that way.
+In a gcd monoid ``λ(q)`` divides every value of the ``q·a`` row exactly
+when it divides that row's left-gcd ``λ(q·a)``.  A value of the row is
+``λ(q·a) · r(q·a, t)`` and reduced rows have a unit left-gcd, so two
+merged prefixes agree on ``λ(q)\\value`` for every suffix exactly when
+they agree on ``r(q·a, ·)`` and on ``λ(q)\\λ(q·a)``.  The cells of
+a row are scanned only to name the first suffix of a defect found that way.
 
 All scans run in deterministic order (``Q`` insertion order, alphabet order,
 ``T`` insertion order, closure before consistency) so runs are reproducible.
@@ -43,9 +43,9 @@ All scans run in deterministic order (``Q`` insertion order, alphabet order,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .monoid import Monoid, PartialRow, PartialValue, lgcd_family
@@ -89,13 +89,7 @@ class LearnStats:
     loop_iterations: int = 0
 
     def to_doc(self) -> dict:
-        return {
-            "membership_queries": self.membership_queries,
-            "equivalence_queries": self.equivalence_queries,
-            "q_updates": self.q_updates,
-            "t_updates": self.t_updates,
-            "loop_iterations": self.loop_iterations,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -105,12 +99,14 @@ class LearnLimits:
 
 
 class ObservationTable:
-    """The learner's working state: ``Q``, ``T`` and the factored tables.
+    """The learner's working state: ``Q``, ``T`` and the factored rows.
 
     Membership answers are memoized forever in ``values``; the oracle is
     consulted exactly once per distinct word, and ``queries`` counts those
-    consultations.  Each row ``(q, x)`` keeps its left-gcd in ``lam`` and its
-    reduced row as a tuple over the first ``len(row)`` suffixes of ``T``.
+    consultations.  Each word ``w`` of ``Q ∪ Q·A`` has one row: its left-gcd
+    ``λ(w)`` in ``lam`` and its reduced row ``r(w, ·)`` as a tuple over
+    the first ``len(row)`` suffixes of ``T``.  The raw cell ``f(w·t)`` is
+    ``values[w + t]``.
     """
 
     def __init__(self, monoid: Monoid, alphabet: tuple[str, ...]):
@@ -119,82 +115,66 @@ class ObservationTable:
         self.prefixes: list[Word] = [EMPTY]
         self.suffixes: list[Word] = [EMPTY]
         self.values: dict[Word, PartialValue] = {}
-        self.lam: dict[tuple[Word, str], PartialValue] = {}
-        self._rows: dict[tuple[Word, str], PartialRow] = {}
+        self.lam: dict[Word, PartialValue] = {}
+        self._rows: dict[Word, PartialRow] = {}
         self.queries = 0
-
-    # ``''`` stands for the empty-word column alongside the alphabet letters.
-    def _columns(self) -> tuple[str, ...]:
-        return ("",) + self.alphabet
-
-    def _cell_word(self, q: Word, x: str, t: Word) -> Word:
-        return q + ((x,) if x else ()) + t
 
     def fill(self, membership: MembershipFn) -> None:
         """Query every missing cell and extend each row's factorization.
 
-        Cells are queried in ``Q``, column, ``T`` order.  ``T`` only grows at
-        its end and ``lgcd_family`` is a left fold in ``T`` order, so a row's
-        left-gcd is extended by folding over its new cells only.  If that
-        leaves the left-gcd unchanged, only the new cells are divided by it;
-        if it shrank, the whole row is divided again.  The rows of a new
-        prefix have no cells yet and are factored from scratch.
+        Rows are visited in ``Q`` order, each prefix ``q`` before its
+        extensions ``q·a`` in alphabet order, and cells in ``T`` order.  A
+        prefix other than the empty word was first met as an extension, so
+        its row is complete by the time ``Q`` reaches it and is skipped.
+        ``T`` only grows at its end and ``lgcd_family`` is a left fold in
+        ``T`` order, so a row's left-gcd is extended by folding over its new
+        cells only.  If that leaves the left-gcd unchanged, only the new cells
+        are divided by it; if it shrank, the whole row is divided again.  A
+        new row has no cells yet and is factored from scratch.
         """
         m = self.monoid
-        values, suffixes, rows = self.values, self.suffixes, self._rows
+        values, suffixes, rows, lam = self.values, self.suffixes, self._rows, self.lam
         for q in self.prefixes:
-            for x in self._columns():
-                key = (q, x)
-                row = rows.get(key, ())
+            for w in (q, *(q + (a,) for a in self.alphabet)):
+                row = rows.get(w, ())
                 if len(row) == len(suffixes):
                     continue
-                base = self._cell_word(q, x, EMPTY)
                 cells = []
                 for t in suffixes[len(row) :]:
-                    w = base + t
-                    if w not in values:
-                        values[w] = membership(w)
+                    wt = w + t
+                    if wt not in values:
+                        values[wt] = membership(wt)
                         self.queries += 1
-                    cells.append(values[w])
-                old = self.lam.get(key)
+                    cells.append(values[wt])
+                old = lam.get(w)
                 g = lgcd_family(m, (old, *cells))
                 if g != old and old is not None:
-                    row, cells = (), [values[base + t] for t in suffixes]
-                self.lam[key] = g
+                    row, cells = (), [values[w + t] for t in suffixes]
+                lam[w] = g
                 if g is not None:
                     cells = [None if v is None else m.left_divide(g, v) for v in cells]
-                rows[key] = row + tuple(cells)
+                rows[w] = row + tuple(cells)
 
-    def row(self, q: Word, x: str = "") -> PartialRow:
-        """The reduced row ``r(q, x, ·)`` over ``T``, as cached by ``fill``."""
-        return self._rows[(q, x)]
-
-    def raw_value(self, q: Word, x: str, t: Word) -> PartialValue:
-        return self.values[self._cell_word(q, x, t)]
+    def row(self, word: Word) -> PartialRow:
+        """The reduced row ``r(word, ·)`` over ``T``, as cached by ``fill``."""
+        return self._rows[word]
 
     def add_prefix(self, word: Word) -> int:
         """Add ``word`` and any missing prefixes to ``Q``; returns the count added."""
-        added = 0
-        have = set(self.prefixes)
-        for k in range(1, len(word) + 1):
-            p = word[:k]
-            if p not in have:
-                self.prefixes.append(p)
-                have.add(p)
-                added += 1
-        return added
+        return _append_missing(self.prefixes, (word[:k] for k in range(1, len(word) + 1)))
 
     def add_suffix(self, word: Word) -> int:
         """Add ``word`` and any missing suffixes to ``T``; returns the count added."""
-        added = 0
-        have = set(self.suffixes)
-        for k in range(1, len(word) + 1):
-            s = word[len(word) - k :]
-            if s not in have:
-                self.suffixes.append(s)
-                have.add(s)
-                added += 1
-        return added
+        return _append_missing(self.suffixes, (word[-k:] for k in range(1, len(word) + 1)))
+
+
+def _append_missing(words: list[Word], candidates: Iterable[Word]) -> int:
+    """Append each of the distinct ``candidates`` not yet in ``words``;
+    returns the count appended."""
+    have = set(words)
+    missing = [w for w in candidates if w not in have]
+    words.extend(missing)
+    return len(missing)
 
 
 def _is_bottom(row: tuple) -> bool:
@@ -213,14 +193,14 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
     """First defect in deterministic scan order, or ``None`` if a hypothesis
     can be built."""
     m = table.monoid
-    row = table.row
+    row, lam, values = table.row, table.lam, table.values
     classes = _row_classes(table)
 
     # Closure: a letter extension whose (somewhere-defined) row matches no
     # prefix row.
     for q in table.prefixes:
         for a in table.alphabet:
-            ext = row(q, a)
+            ext = row(q + (a,))
             if not _is_bottom(ext) and ext not in classes:
                 return Defect(DefectKind.CLOSURE, q + (a,))
 
@@ -232,8 +212,8 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
         if not bottom and not rest:
             continue
         for a in table.alphabet:
-            ext = row(q, a)
-            others = [row(q2, a) for q2 in rest]
+            ext = row(q + (a,))
+            others = [row(q2 + (a,)) for q2 in rest]
             for i, t in enumerate(table.suffixes):
                 defined = ext[i] is not None
                 if defined and bottom:
@@ -244,43 +224,41 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
 
     # Row left-gcds must left-divide every defined extension value, that is
     # the extension's left-gcd; cells are scanned only to name the suffix.
-    lam = table.lam
     for q in table.prefixes:
-        g = lam[(q, "")]
+        g = lam[q]
         if g is None:
             continue
         for a in table.alphabet:
-            ext = lam[(q, a)]
+            ext = lam[q + (a,)]
             if ext is None or m.divides(g, ext):
                 continue
             for t in table.suffixes:
-                v = table.raw_value(q, a, t)
+                v = values[q + (a,) + t]
                 if v is not None and not m.divides(g, v):
                     return Defect(DefectKind.INV, (a,) + t)
 
     # Merged rows must keep matching after the extension: on the reduced
     # extension row and on the quotient of the two left-gcds.
     for q, *rest in classes.values():
-        g = lam[(q, "")]
+        g = lam[q]
         if g is None or not rest:
             continue
         for a in table.alphabet:
-            ext = lam[(q, a)]
+            ext = lam[q + (a,)]
             if ext is None:
                 continue
-            key = (row(q, a), m.left_divide(g, ext))
+            key = (row(q + (a,)), m.left_divide(g, ext))
             if all(
-                (row(q2, a), m.left_divide(lam[(q2, "")], lam[(q2, a)])) == key for q2 in rest
+                (row(q2 + (a,)), m.left_divide(lam[q2], lam[q2 + (a,)])) == key for q2 in rest
             ):
                 continue
             for t in table.suffixes:
-                v1 = table.raw_value(q, a, t)
+                v1 = values[q + (a,) + t]
                 if v1 is None:
                     continue
                 d1 = m.left_divide(g, v1)
                 for q2 in rest:
-                    v2 = table.raw_value(q2, a, t)
-                    if d1 != m.left_divide(lam[(q2, "")], v2):
+                    if d1 != m.left_divide(lam[q2], values[q2 + (a,) + t]):
                         return Defect(DefectKind.INJ, (a,) + t)
     return None
 
@@ -326,7 +304,7 @@ def build_hypothesis(table: ObservationTable) -> Transducer:
     transitions = {}
     for q in states:
         for a in table.alphabet:
-            row = table.row(q, a)
+            row = table.row(q + (a,))
             if _is_bottom(row):
                 continue
             target = reps.get(row)
@@ -335,14 +313,14 @@ def build_hypothesis(table: ObservationTable) -> Transducer:
                     f"no state row matches the ({'·'.join(q) or 'e'}, {a}) row"
                 )
             try:
-                step = m.left_divide(table.lam[(q, "")], table.lam[(q, a)])
+                step = m.left_divide(table.lam[q], table.lam[q + (a,)])
             except Exception as exc:  # divisibility is defect-freeness
                 raise InternalInconsistency(str(exc)) from exc
             transitions[(ids[q], a)] = (step, ids[target])
 
     initial = None
     if not _is_bottom(table.row(EMPTY)):
-        initial = (table.lam[(EMPTY, "")], ids[EMPTY])
+        initial = (table.lam[EMPTY], ids[EMPTY])
     return Transducer(
         monoid=m,
         alphabet=table.alphabet,

@@ -127,13 +127,13 @@ def state_lgcds(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> di
     )
 
 
-def prefix(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> Transducer:
+def prefix(t: Transducer) -> Transducer:
     """Push every state's left-gcd as early as possible.
 
     Requires a trim machine (``reach`` and ``total`` applied), so each state
     has a defined left-gcd to divide out.
     """
-    beta = state_lgcds(t, iteration_cap)
+    beta = state_lgcds(t)
     if any(beta[s] is None for s in t.states):
         raise ValueError("prefix stage requires a trim machine (apply reach and total first)")
     return _push(t, beta)
@@ -221,11 +221,11 @@ def observe(t: Transducer) -> tuple[Transducer, dict[str, tuple[str, Element]]]:
     return merged, witnesses
 
 
-def minimize(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> StagedMinimization:
+def minimize(t: Transducer) -> StagedMinimization:
     """Run the full pipeline and record every stage."""
     reached = reach(t)
     trimmed = total(reached)
-    pushed = prefix(trimmed, iteration_cap)
+    pushed = prefix(trimmed)
     minimal, witnesses = observe(pushed)
     return StagedMinimization(
         reach=reached,
@@ -236,7 +236,7 @@ def minimize(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> Stage
     )
 
 
-def check_minimal(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> bool:
+def check_minimal(t: Transducer) -> bool:
     """True iff every state is reachable and the states recognize pairwise
     distinct left-coprime functions.
 
@@ -248,7 +248,7 @@ def check_minimal(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> 
         return False
     if not t.states:
         return True
-    beta = state_lgcds(t, iteration_cap)
+    beta = state_lgcds(t)
     m = t.monoid
     if any(beta[s] is None or not m.is_invertible(beta[s]) for s in t.states):
         return False

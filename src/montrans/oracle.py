@@ -64,14 +64,18 @@ def _value(t: Transducer, config) -> PartialValue:
     return None if config is None else mul_partial(t.monoid, config[0], t.termination[config[1]])
 
 
+def _require_comparable(t1: Transducer, t2: Transducer) -> None:
+    """Raise ``ValueError`` unless the two machines share a monoid and an
+    input alphabet."""
+    if t1.monoid != t2.monoid or t1.alphabet != t2.alphabet:
+        raise ValueError("the machines use different monoids or input alphabets")
+
+
 def brute_force_diff(t1: Transducer, t2: Transducer, max_len: int) -> Optional[Word]:
     """First word (length-lex order) up to ``max_len`` where evaluations
     differ, or ``None``.  Pure enumeration: every word is visited, so it can
     serve as the independent oracle for the clever paths."""
-    if t1.monoid != t2.monoid:
-        raise ValueError("machines use different monoids")
-    if t1.alphabet != t2.alphabet:
-        raise ValueError("machines must share an input alphabet")
+    _require_comparable(t1, t2)
     frontier: deque[tuple[Word, object, object]] = deque([((), t1.initial, t2.initial)])
     while frontier:
         w, c1, c2 = frontier.popleft()
@@ -152,10 +156,7 @@ def equivalence_oracle(reference: Transducer) -> Callable[[Transducer], Equivale
     ref = total(reach(reference))
 
     def oracle(hypothesis: Transducer) -> EquivalenceVerdict:
-        if hypothesis.monoid != reference.monoid:
-            raise ValueError("hypothesis and reference use different monoids")
-        if hypothesis.alphabet != reference.alphabet:
-            raise ValueError("hypothesis and reference use different alphabets")
+        _require_comparable(reference, hypothesis)
         trimmed = total(reach(hypothesis))
         bound = (len(ref.states) + 1) * (len(trimmed.states) + 1)
         word = _first_difference(ref, trimmed, bound)
@@ -175,10 +176,7 @@ def iso_check(t1: Transducer, t2: Transducer) -> Optional[dict[str, tuple[str, E
     is validated; equal-count non-minimal inputs raise
     :class:`NotMinimalInput`.
     """
-    if t1.monoid != t2.monoid:
-        raise ValueError("machines use different monoids")
-    if t1.alphabet != t2.alphabet:
-        raise ValueError("machines use different alphabets")
+    _require_comparable(t1, t2)
     if len(t1.states) != len(t2.states):
         return None
     if not check_minimal(t1) or not check_minimal(t2):

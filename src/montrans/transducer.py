@@ -303,11 +303,14 @@ def deserialize(text: str) -> Transducer:
 
 
 def parse_word(alphabet: tuple[str, ...], text: str) -> Word:
-    """Parse an input word: letters joined by ``·``, or a bare string when all
-    alphabet letters are single characters.  ``e``/``ε``/empty denote the
-    empty word unless they are themselves letters."""
+    """Parse an input word: a single letter, letters joined by ``·``, or a
+    bare string when all alphabet letters are single characters.
+    ``e``/``ε``/empty denote the empty word unless they are themselves
+    letters."""
     if text == "" or (text in ("e", "ε") and text not in alphabet):
         return ()
+    if text in alphabet:
+        return (text,)
     if "·" in text:
         letters = text.split("·")
     elif all(len(a) == 1 for a in alphabet):
@@ -321,9 +324,13 @@ def parse_word(alphabet: tuple[str, ...], text: str) -> Word:
     return word
 
 
-def render_word(word: Word) -> str:
+def render_word(word: Word, alphabet: tuple[str, ...] = ()) -> str:
+    """Render an input word so that ``parse_word(alphabet, ·)`` reads it back:
+    bare when the word's and the alphabet's letters are all single characters,
+    joined by ``·`` otherwise.  The empty word is ``e``, or ``ε`` when ``e`` is
+    a letter, or the empty string when ``ε`` is a letter too."""
     if not word:
-        return "e"
-    if all(len(a) == 1 for a in word):
+        return next((text for text in ("e", "ε") if text not in alphabet), "")
+    if all(len(a) == 1 for a in (*word, *alphabet)):
         return "".join(word)
     return "·".join(word)

@@ -151,7 +151,7 @@ def test_criterion_3_adversarial_nontermination():
         assert len(table.prefixes) == 26
         assert table.suffixes == [(), ("a",)]
         for q in table.prefixes:
-            assert table.lam[(q, "")] == ("α",) * len(q)
+            assert table.lam[q] == ("α",) * len(q)
 
         trace = TraceMonoid(("α", "β", "γ"), [("α", "β")])
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import montrans.cli
-from montrans import check_minimal, deserialize, iso_check, minimize
+from montrans import FreeMonoid, Transducer, check_minimal, deserialize, iso_check, minimize
 from montrans.cli import main
 
 from helpers import DATA, learning_target, load_machine
@@ -101,6 +101,29 @@ def test_minimize_emit_stages(tmp_path):
     assert dot.startswith("digraph transducer {")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minimize", "--machine", BETA_LOOP, "-o"],
+        ["learn", "--target", TARGET, "-o"],
+    ],
+)
+def test_missing_output_directory_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "absent" / "out.json"
+    assert main([*argv, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("output directory does not exist")
+    assert not out.parent.exists()
+
+
+def test_learn_zero_cap_exits_2(tmp_path, capsys):
+    out = tmp_path / "learned.json"
+    assert main(["learn", "--target", TARGET, "-o", str(out), "--cap", "0"]) == 2
+    assert capsys.readouterr().err == "caps must be positive\n"
+    assert not out.exists()
+
+
 def test_minimize_already_minimal_round_trips(tmp_path):
     out = tmp_path / "again.json"
     main(["minimize", "--machine", MINIMAL_COMMUTATIVE, "-o", str(out)])
@@ -183,6 +206,38 @@ def test_equiv_mismatched_machines_exit_2(tmp_path, capsys, max_len):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_equiv_counterexample_reads_back_into_eval(tmp_path, capsys):
+    """Over the alphabet ``{e}`` the empty word prints as ``ε``, which
+    ``eval`` reads as the empty word, not as the letter ``e``."""
+    m = FreeMonoid(("α", "β"))
+    unit, alpha, beta = m.unit(), m.parse("α"), m.parse("β")
+    left = Transducer(
+        monoid=m,
+        alphabet=("e",),
+        states=("s", "t"),
+        initial=(unit, "s"),
+        termination={"s": alpha, "t": beta},
+        transitions={("s", "e"): (unit, "t"), ("t", "e"): (unit, "t")},
+    )
+    right = Transducer(
+        monoid=m,
+        alphabet=("e",),
+        states=("u",),
+        initial=(unit, "u"),
+        termination={"u": beta},
+        transitions={("u", "e"): (unit, "u")},
+    )
+    lpath, rpath = tmp_path / "left.json", tmp_path / "right.json"
+    lpath.write_text(left.serialize(), encoding="utf-8")
+    rpath.write_text(right.serialize(), encoding="utf-8")
+    for max_len in ([], ["--max-len", "3"]):
+        assert main(["equiv", "--left", str(lpath), "--right", str(rpath), *max_len]) == 1
+        word, left_line, _ = capsys.readouterr().out.splitlines()
+        assert (word, left_line) == ("ε", "left:  α")
+        assert main(["eval", "--machine", str(lpath), word]) == 0
+        assert capsys.readouterr().out == "α\n"
 
 
 def test_equiv_same_file(capsys):

@@ -52,10 +52,10 @@ def fresh_table(machine):
 def test_fill_initial_table(target):
     p = target.monoid.parse
     table = fresh_table(target)
-    assert table.lam[(EMPTY, "")] == p("α")
-    assert table.lam[(EMPTY, "a")] == p("γ·α·β·α")
-    assert table.row(EMPTY, "")[table.suffixes.index(EMPTY)] == p("ε")
-    assert table.row(EMPTY, "a")[table.suffixes.index(EMPTY)] == p("ε")
+    assert table.lam[EMPTY] == p("α")
+    assert table.lam[("a",)] == p("γ·α·β·α")
+    assert table.row(EMPTY)[table.suffixes.index(EMPTY)] == p("ε")
+    assert table.row(("a",))[table.suffixes.index(EMPTY)] == p("ε")
 
 
 def test_fill_after_suffix_extension(target):
@@ -63,8 +63,8 @@ def test_fill_after_suffix_extension(target):
     table = fresh_table(target)
     table.add_suffix(("a",))
     table.fill(target.eval)
-    assert table.lam[(EMPTY, "")] == p("ε")
-    assert table.lam[(EMPTY, "a")] == p("γ·α·β")
+    assert table.lam[EMPTY] == p("ε")
+    assert table.lam[("a",)] == p("γ·α·β")
 
 
 def test_fill_queries_each_word_once(target):
@@ -83,6 +83,29 @@ def test_fill_queries_each_word_once(target):
     assert table.queries == before
 
 
+def test_rows_are_keyed_by_word(monkeypatch):
+    """After every ``fill`` the table holds exactly one complete row per word
+    of ``Q ∪ Q·A``, so a word that is both an extension and a prefix is
+    stored once."""
+    fill = ObservationTable.fill
+    shared = Counter()
+
+    def checked_fill(table, membership):
+        fill(table, membership)
+        words = {q + ext for q in table.prefixes for ext in ((), *((a,) for a in table.alphabet))}
+        assert set(table._rows) == set(table.lam) == words
+        assert all(len(table.row(w)) == len(table.suffixes) for w in words)
+        shared[table.monoid.kind] += len(words) < len(table.prefixes) * (1 + len(table.alphabet))
+
+    monkeypatch.setattr(ObservationTable, "fill", checked_fill)
+    rng = random.Random(37)
+    for monoid in standard_monoids().values():
+        for _ in range(10):
+            target = random_machine(monoid, rng, max_states=6, max_letters=3)
+            learn(monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    assert all(shared[kind] > 0 for kind in standard_monoids()), shared
+
+
 def test_table_coherence_and_coprimality(target):
     table = fresh_table(target)
     table.add_suffix(("a",))
@@ -90,11 +113,11 @@ def test_table_coherence_and_coprimality(target):
     table.fill(target.eval)
     m = target.monoid
     for q in table.prefixes:
-        for x in ("",) + table.alphabet:
-            row = table.row(q, x)
+        for w in (q, *(q + (a,) for a in table.alphabet)):
+            row = table.row(w)
             for t in table.suffixes:
                 value = row[table.suffixes.index(t)]
-                assert mul_partial(m, table.lam[(q, x)], value) == table.raw_value(q, x, t)
+                assert mul_partial(m, table.lam[w], value) == table.values[w + t]
             if any(v is not None for v in row):
                 assert m.is_invertible(lgcd_family(m, row))
 
@@ -110,10 +133,10 @@ def test_incremental_fill_matches_whole_table_refactor(monkeypatch):
         fill(table, membership)
         m = table.monoid
         for q in table.prefixes:
-            for x in ("",) + table.alphabet:
-                raw = tuple(table.raw_value(q, x, t) for t in table.suffixes)
-                assert table.lam[(q, x)] == lgcd_family(m, raw), (m.kind, q, x)
-                assert table.row(q, x) == red_row(m, raw), (m.kind, q, x)
+            for w in (q, *(q + (a,) for a in table.alphabet)):
+                raw = tuple(table.values[w + t] for t in table.suffixes)
+                assert table.lam[w] == lgcd_family(m, raw), (m.kind, w)
+                assert table.row(w) == red_row(m, raw), (m.kind, w)
         shrunk[m.kind] += sum(g is not None and table.lam[key] != g for key, g in before.items())
 
     monkeypatch.setattr(ObservationTable, "fill", checked_fill)
@@ -136,27 +159,27 @@ def _cell_scan_inv_inj(table: ObservationTable):
     quotient by quotient."""
     m = table.monoid
     for q in table.prefixes:
-        g = table.lam[(q, "")]
+        g = table.lam[q]
         if g is None:
             continue
         for a in table.alphabet:
             for t in table.suffixes:
-                v = table.raw_value(q, a, t)
+                v = table.values[q + (a,) + t]
                 if v is not None and not m.divides(g, v):
                     return Defect(DefectKind.INV, (a,) + t)
     for q, *rest in _row_classes(table).values():
-        g = table.lam[(q, "")]
+        g = table.lam[q]
         if g is None or not rest:
             continue
         for a in table.alphabet:
             for t in table.suffixes:
-                v1 = table.raw_value(q, a, t)
+                v1 = table.values[q + (a,) + t]
                 if v1 is None:
                     continue
                 d1 = m.left_divide(g, v1)
                 for q2 in rest:
-                    v2 = table.raw_value(q2, a, t)
-                    if d1 != m.left_divide(table.lam[(q2, "")], v2):
+                    v2 = table.values[q2 + (a,) + t]
+                    if d1 != m.left_divide(table.lam[q2], v2):
                         return Defect(DefectKind.INJ, (a,) + t)
     return None
 
@@ -325,6 +348,24 @@ def test_tot_defect_revives_dead_empty_row():
     assert check_minimal(machine)
 
 
+def test_state_named_e_gets_a_fresh_id():
+    """Over the alphabet ``{e}`` the state of the word ``e`` would share the
+    empty word's id ``e``; it is named ``⟨e⟩`` instead."""
+    m = standard_monoids()["free"]
+    p = m.parse
+    target = Transducer(
+        monoid=m,
+        alphabet=("e",),
+        states=("s", "t"),
+        initial=(m.unit(), "s"),
+        termination={"s": p("α"), "t": p("β")},
+        transitions={("s", "e"): (m.unit(), "t"), ("t", "e"): (m.unit(), "t")},
+    )
+    machine, _ = learn(m, target.alphabet, target.eval, equivalence_oracle(target))
+    assert machine.states == ("e", "⟨e⟩")
+    assert brute_force_diff(machine, target, 4) is None
+
+
 def test_learn_stats_monotone_fields(target):
     _, stats = learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
     doc = stats.to_doc()
@@ -373,9 +414,9 @@ def test_adversarial_oracle_never_converges():
     assert table.suffixes == [(), ("a",)]
     for q in table.prefixes:
         k = len(q)
-        assert table.lam[(q, "")] == ("α",) * k
-        assert table.row(q, "")[table.suffixes.index(())] == ("β",) * k + ("γ",)
-        assert table.row(q, "")[table.suffixes.index(("a",))] == ("α",) + ("β",) * (k + 1) + ("γ",)
+        assert table.lam[q] == ("α",) * k
+        assert table.row(q)[table.suffixes.index(())] == ("β",) * k + ("γ",)
+        assert table.row(q)[table.suffixes.index(("a",))] == ("α",) + ("β",) * (k + 1) + ("γ",)
 
 
 def test_iteration_cap(target):

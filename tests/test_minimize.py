@@ -271,9 +271,9 @@ def test_check_minimal_examples():
 def test_check_minimal_computes_state_lgcds_once(monkeypatch):
     calls = []
 
-    def counted(t, iteration_cap):
+    def counted(t):
         calls.append(t)
-        return state_lgcds(t, iteration_cap)
+        return state_lgcds(t)
 
     monkeypatch.setattr(minimize_module, "state_lgcds", counted)
     for t in (minimize(beta_loop("commutative")).minimal, prefix(total(reach(beta_loop("commutative"))))):

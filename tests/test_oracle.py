@@ -387,6 +387,40 @@ def test_iso_check_on_equivalent_pairs():
             assert iso_check(minimize(left).minimal, minimize(right).minimal) is not None
 
 
+def test_iso_check_rejects_each_mismatch():
+    """Minimal machines whose initial values agree but which differ on a
+    transition's presence, on an output quotient that is not divisible or
+    not invertible, or on a state's partner."""
+    m = standard_monoids()["free"]
+    p = m.parse
+
+    def machine(termination, transitions):
+        return Transducer(
+            monoid=m,
+            alphabet=("a", "b"),
+            states=tuple(termination),
+            initial=(m.unit(), next(iter(termination))),
+            termination={s: p(v) for s, v in termination.items()},
+            transitions={k: (p(out), d) for k, (out, d) in transitions.items()},
+        )
+
+    def loop(out):
+        return machine({"s": "ε"}, {} if out is None else {("s", "a"): (out, "s")})
+
+    fan_in = machine({"p": "α", "q": "ε"}, {("p", "a"): ("ε", "q"), ("p", "b"): ("ε", "q")})
+    b_loop = machine({"p": "α", "q": "ε"}, {("p", "a"): ("ε", "q"), ("p", "b"): ("ε", "p")})
+    pairs = [
+        (loop("α"), loop(None)),  # a transition on one side only
+        (loop("α"), loop("β")),  # α does not left-divide β
+        (loop("α"), loop("α·α")),  # α\α·α = α is not invertible
+        (fan_in, b_loop),  # q is paired with q, then with p
+    ]
+    for left, right in pairs:
+        assert check_minimal(left) and check_minimal(right)
+        assert iso_check(left, right) is None
+        assert brute_force_diff(left, right, 3) is not None
+
+
 def test_empty_machines_are_isomorphic():
     m = standard_monoids()["free"]
     empty = Transducer(monoid=m, alphabet=("a",), states=(), initial=None, termination={})

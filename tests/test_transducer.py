@@ -160,6 +160,23 @@ def test_construction_validation(machine):
             termination={},
             transitions={("s", "z"): (m.unit(), "s")},
         )
+    trace = standard_monoids()["trace"]
+    unit, odd = trace.unit(), ("β", "α")  # α·β = β·α, so the normal form is α·β
+    ok = dict(monoid=trace, alphabet=("a",), states=("s",), initial=(unit, "s"), termination={"s": unit})
+    cases = {
+        "duplicate alphabet letters": dict(alphabet=("a", "a")),
+        "termination references unknown state 't'": dict(termination={"t": unit}),
+        "transition from unknown state 't'": dict(transitions={("t", "a"): (unit, "s")}),
+        "transition into unknown state 't'": dict(transitions={("s", "a"): (unit, "t")}),
+        "non-canonical termination value on 's'": dict(termination={"s": odd}),
+        "non-canonical output on 's' --a-->": dict(transitions={("s", "a"): (odd, "s")}),
+        "non-canonical initial value": dict(initial=(odd, "s")),
+    }
+    Transducer(**ok)
+    for message, change in cases.items():
+        with pytest.raises(ValueError) as info:
+            Transducer(**{**ok, **change})
+        assert str(info.value) == message
 
 
 def test_serialize_round_trip(machine):
@@ -200,6 +217,12 @@ def test_deserialize_schema_errors(machine, tmp_path):
             '"letter": "a"', '"letter": "b"', 1
         )  # 1 -b-> now declared twice
         deserialize(dup)
+    with pytest.raises(SchemaError, match=r"^\$\.alphabet: duplicate letters"):
+        deserialize(doc.replace('"b"\n  ]', '"a"\n  ]', 1))
+    with pytest.raises(SchemaError, match=r"^\$\.states: duplicate state ids"):
+        deserialize(doc.replace('"4"\n  ]', '"3"\n  ]', 1))
+    with pytest.raises(SchemaError, match=r"^\$\.transitions\[0\]\.from: unknown state '9'"):
+        deserialize(doc.replace('"from": "1"', '"from": "9"', 1))
 
     def with_monoid(wire):
         parsed = json.loads(doc)
@@ -282,6 +305,16 @@ def test_parse_and_render_word():
     assert render_word(()) == "e"
     assert render_word(("b", "b")) == "bb"
     assert render_word(("in", "out")) == "in·out"
+
+
+def test_rendered_words_parse_back():
+    for alphabet in (("a", "b"), ("ab", "c"), ("e",), ("e", "ε")):
+        for word in words_up_to(alphabet, 3):
+            assert parse_word(alphabet, render_word(word, alphabet)) == word, (alphabet, word)
+    assert render_word((), ("e",)) == "ε"
+    assert render_word((), ("e", "ε")) == ""
+    assert render_word(("ab",), ("ab", "c")) == "ab"
+    assert render_word(("c", "c"), ("ab", "c")) == "c·c"
 
 
 def test_mul_partial_threads_through_eval(machine):
