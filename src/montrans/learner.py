@@ -18,8 +18,8 @@ left-gcd shrank, in which case the whole row is divided again.
 Residual rows are canonical: two rows that agree up to an invertible left
 factor have equal residuals.  So two prefixes have *merged rows*, and stand
 for the same hypothesis state, exactly when their reduced rows are equal
-tuples; defect search and hypothesis construction index the prefixes' rows
-by that tuple.
+tuples.  ``fill`` interns each reduced row it completes to an integer class
+id, and defect search and hypothesis construction compare those ids.
 
 Consistency defects come in three kinds, checked in a fixed order:
 
@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .monoid import Monoid, PartialRow, PartialValue, lgcd_family
-from .transducer import Transducer, Word
+from .transducer import Transducer, Word, _assemble, render_word
 
 #: Answers the target function's value on a word (``None`` for undefined).
 MembershipFn = Callable[[Word], PartialValue]
@@ -59,6 +59,9 @@ MembershipFn = Callable[[Word], PartialValue]
 EquivalenceFn = Callable[[Transducer], Optional[object]]
 
 EMPTY: Word = ()
+
+#: The class id of the nowhere-defined reduced row.
+BOTTOM = 0
 
 
 class DefectKind(Enum):
@@ -106,7 +109,8 @@ class ObservationTable:
     consultations.  Each word ``w`` of ``Q ∪ Q·A`` has one row: its left-gcd
     ``λ(w)`` in ``lam`` and its reduced row ``r(w, ·)`` as a tuple over
     the first ``len(row)`` suffixes of ``T``.  The raw cell ``f(w·t)`` is
-    ``values[w + t]``.
+    ``values[w + t]``.  ``fill`` gives each row a class id in ``class_ids``:
+    equal ids mean equal reduced rows, and ``BOTTOM`` is the ``⊥`` row's.
     """
 
     def __init__(self, monoid: Monoid, alphabet: tuple[str, ...]):
@@ -116,56 +120,70 @@ class ObservationTable:
         self.suffixes: list[Word] = [EMPTY]
         self.values: dict[Word, PartialValue] = {}
         self.lam: dict[Word, PartialValue] = {}
+        self.class_ids: dict[Word, int] = {}
         self._rows: dict[Word, PartialRow] = {}
+        #: Each prefix's extensions ``q·a`` in alphabet order, built once.
+        self._extensions: dict[Word, tuple[Word, ...]] = {EMPTY: tuple((a,) for a in self.alphabet)}
+        #: Reduced rows over the current ``T`` mapped to their class ids.
+        self._interned: dict[PartialRow, int] = {(None,): BOTTOM}
         self.queries = 0
 
     def fill(self, membership: MembershipFn) -> None:
-        """Query every missing cell and extend each row's factorization.
+        """Query every missing cell, extend each row's factorization and intern it.
 
-        Rows are visited in ``Q`` order, each prefix ``q`` before its
-        extensions ``q·a`` in alphabet order, and cells in ``T`` order.  A
-        prefix other than the empty word was first met as an extension, so
-        its row is complete by the time ``Q`` reaches it and is skipped.
-        ``T`` only grows at its end and ``lgcd_family`` is a left fold in
-        ``T`` order, so a row's left-gcd is extended by folding over its new
-        cells only.  If that leaves the left-gcd unchanged, only the new cells
-        are divided by it; if it shrank, the whole row is divided again.  A
-        new row has no cells yet and is factored from scratch.
+        Rows are visited from the empty word through each prefix's
+        extensions ``q·a``, in ``Q`` order and alphabet order, and cells in
+        ``T`` order; every other prefix is an extension, so its row is
+        visited there.  ``T`` only grows at its end and
+        ``lgcd_family`` is a left fold in ``T`` order, so a row's left-gcd is
+        extended by folding over its new cells only.  If that leaves the
+        left-gcd unchanged, only the new cells are divided by it; if it
+        shrank, the whole row is divided again.  A new row has no cells yet
+        and is factored from scratch.
         """
         m = self.monoid
         values, suffixes, rows, lam = self.values, self.suffixes, self._rows, self.lam
-        for q in self.prefixes:
-            for w in (q, *(q + (a,) for a in self.alphabet)):
-                row = rows.get(w, ())
-                if len(row) == len(suffixes):
-                    continue
-                cells = []
-                for t in suffixes[len(row) :]:
-                    wt = w + t
-                    if wt not in values:
-                        values[wt] = membership(wt)
-                        self.queries += 1
-                    cells.append(values[wt])
-                old = lam.get(w)
-                g = lgcd_family(m, (old, *cells))
-                if g != old and old is not None:
-                    row, cells = (), [values[w + t] for t in suffixes]
-                lam[w] = g
-                if g is not None:
-                    cells = [None if v is None else m.left_divide(g, v) for v in cells]
-                rows[w] = row + tuple(cells)
+        class_ids, interned = self.class_ids, self._interned
+        for w in (EMPTY, *(qa for q in self.prefixes for qa in self._extensions[q])):
+            row = rows.get(w, ())
+            if len(row) == len(suffixes):
+                continue
+            cells = []
+            for t in suffixes[len(row) :]:
+                wt = w + t
+                if wt not in values:
+                    values[wt] = membership(wt)
+                    self.queries += 1
+                cells.append(values[wt])
+            old = lam.get(w)
+            g = lgcd_family(m, (old, *cells))
+            if g != old and old is not None:
+                row, cells = (), [values[w + t] for t in suffixes]
+            lam[w] = g
+            if g is not None:
+                cells = [None if v is None else m.left_divide(g, v) for v in cells]
+            rows[w] = row = row + tuple(cells)
+            class_ids[w] = interned.setdefault(row, len(interned))
 
     def row(self, word: Word) -> PartialRow:
         """The reduced row ``r(word, ·)`` over ``T``, as cached by ``fill``."""
         return self._rows[word]
 
     def add_prefix(self, word: Word) -> int:
-        """Add ``word`` and any missing prefixes to ``Q``; returns the count added."""
-        return _append_missing(self.prefixes, (word[:k] for k in range(1, len(word) + 1)))
+        """Add ``word`` and any missing prefixes to ``Q``, and their
+        extensions to the rows to fill; returns the count added."""
+        added = _append_missing(self.prefixes, (word[:k] for k in range(1, len(word) + 1)))
+        for q in self.prefixes[len(self.prefixes) - added :]:
+            self._extensions[q] = tuple(q + (a,) for a in self.alphabet)
+        return added
 
     def add_suffix(self, word: Word) -> int:
-        """Add ``word`` and any missing suffixes to ``T``; returns the count added."""
-        return _append_missing(self.suffixes, (word[-k:] for k in range(1, len(word) + 1)))
+        """Add ``word`` and any missing suffixes to ``T``; returns the count
+        added.  Every row is then refilled, so the class ids start afresh."""
+        added = _append_missing(self.suffixes, (word[-k:] for k in range(1, len(word) + 1)))
+        if added:
+            self._interned = {(None,) * len(self.suffixes): BOTTOM}
+        return added
 
 
 def _append_missing(words: list[Word], candidates: Iterable[Word]) -> int:
@@ -177,50 +195,47 @@ def _append_missing(words: list[Word], candidates: Iterable[Word]) -> int:
     return len(missing)
 
 
-def _is_bottom(row: tuple) -> bool:
-    return row.count(None) == len(row)
-
-
-def _row_classes(table: ObservationTable) -> dict[tuple, list[Word]]:
-    """Each state row mapped to the prefixes that have it, in ``Q`` order."""
-    classes: dict[tuple, list[Word]] = {}
+def _row_classes(table: ObservationTable) -> dict[int, list[Word]]:
+    """Each class id of a prefix row mapped to its prefixes, in ``Q`` order."""
+    classes: dict[int, list[Word]] = {}
     for q in table.prefixes:
-        classes.setdefault(table.row(q), []).append(q)
+        classes.setdefault(table.class_ids[q], []).append(q)
     return classes
 
 
 def find_defect(table: ObservationTable) -> Optional[Defect]:
     """First defect in deterministic scan order, or ``None`` if a hypothesis
     can be built."""
-    m = table.monoid
-    row, lam, values = table.row, table.lam, table.values
+    m, alphabet, ext = table.monoid, table.alphabet, table._extensions
+    row, lam, values, cls = table.row, table.lam, table.values, table.class_ids
     classes = _row_classes(table)
 
     # Closure: a letter extension whose (somewhere-defined) row matches no
     # prefix row.
     for q in table.prefixes:
-        for a in table.alphabet:
-            ext = row(q + (a,))
-            if not _is_bottom(ext) and ext not in classes:
-                return Defect(DefectKind.CLOSURE, q + (a,))
+        for qa in ext[q]:
+            c = cls[qa]
+            if c != BOTTOM and c not in classes:
+                return Defect(DefectKind.CLOSURE, qa)
 
     # Definedness mismatches.  This scan and the INJ scan compare each class
     # from its first prefix only: if that prefix matches every other member,
-    # the members match each other, so no later prefix finds a defect.
+    # the members match each other, so no later prefix finds a defect.  Equal
+    # rows are defined on the same suffixes, so cells are scanned only to
+    # name the suffix of a mismatch between different rows.
     for state, (q, *rest) in classes.items():
-        bottom = _is_bottom(state)
+        bottom = state == BOTTOM
         if not bottom and not rest:
             continue
-        for a in table.alphabet:
-            ext = row(q + (a,))
-            others = [row(q2 + (a,)) for q2 in rest]
-            for i, t in enumerate(table.suffixes):
-                defined = ext[i] is not None
-                if defined and bottom:
+        for i, a in enumerate(alphabet):
+            c = cls[ext[q][i]]
+            if (c == BOTTOM or not bottom) and all(cls[ext[q2][i]] == c for q2 in rest):
+                continue
+            ext_rows = [row(ext[q2][i]) for q2 in (q, *rest)]
+            for j, t in enumerate(table.suffixes):
+                defined = {r[j] is not None for r in ext_rows}
+                if len(defined) > 1 or (bottom and True in defined):
                     return Defect(DefectKind.TOT, (a,) + t)
-                for other in others:
-                    if defined != (other[i] is not None):
-                        return Defect(DefectKind.TOT, (a,) + t)
 
     # Row left-gcds must left-divide every defined extension value, that is
     # the extension's left-gcd; cells are scanned only to name the suffix.
@@ -228,12 +243,11 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
         g = lam[q]
         if g is None:
             continue
-        for a in table.alphabet:
-            ext = lam[q + (a,)]
-            if ext is None or m.divides(g, ext):
+        for a, qa in zip(alphabet, ext[q]):
+            if lam[qa] is None or m.divides(g, lam[qa]):
                 continue
             for t in table.suffixes:
-                v = values[q + (a,) + t]
+                v = values[qa + t]
                 if v is not None and not m.divides(g, v):
                     return Defect(DefectKind.INV, (a,) + t)
 
@@ -243,22 +257,22 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
         g = lam[q]
         if g is None or not rest:
             continue
-        for a in table.alphabet:
-            ext = lam[q + (a,)]
-            if ext is None:
+        for i, a in enumerate(alphabet):
+            qa = ext[q][i]
+            if lam[qa] is None:
                 continue
-            key = (row(q + (a,)), m.left_divide(g, ext))
+            key = (cls[qa], m.left_divide(g, lam[qa]))
             if all(
-                (row(q2 + (a,)), m.left_divide(lam[q2], lam[q2 + (a,)])) == key for q2 in rest
+                (cls[ext[q2][i]], m.left_divide(lam[q2], lam[ext[q2][i]])) == key for q2 in rest
             ):
                 continue
             for t in table.suffixes:
-                v1 = values[q + (a,) + t]
+                v1 = values[qa + t]
                 if v1 is None:
                     continue
                 d1 = m.left_divide(g, v1)
                 for q2 in rest:
-                    if d1 != m.left_divide(lam[q2], values[q2 + (a,) + t]):
+                    if d1 != m.left_divide(lam[q2], values[ext[q2][i] + t]):
                         return Defect(DefectKind.INJ, (a,) + t)
     return None
 
@@ -290,45 +304,39 @@ def build_hypothesis(table: ObservationTable) -> Transducer:
     """Assemble the machine of a defect-free table.
 
     The states are the first prefix in ``Q`` insertion order of each
-    somewhere-defined state row.  Each transition goes to the state whose row
-    equals the extension row.
+    somewhere-defined class.  Each transition goes to the state of the
+    extension row's class.
     """
-    m = table.monoid
-    reps = {row: qs[0] for row, qs in _row_classes(table).items() if not _is_bottom(row)}
+    m, cls, alphabet = table.monoid, table.class_ids, table.alphabet
+    reps = {c: qs[0] for c, qs in _row_classes(table).items() if c != BOTTOM}
     states = list(reps.values())
-    ids = _state_ids(states, table.alphabet)
+    ids = _state_ids(states, alphabet)
     # ``T`` starts with the empty word, so a state row's first entry is its
     # termination value.
-    termination = {ids[s]: row[0] for row, s in reps.items()}
+    termination = {ids[s]: table.row(s)[0] for s in states}
 
     transitions = {}
     for q in states:
-        for a in table.alphabet:
-            row = table.row(q + (a,))
-            if _is_bottom(row):
+        for a, qa in zip(alphabet, table._extensions[q]):
+            c = cls[qa]
+            if c == BOTTOM:
                 continue
-            target = reps.get(row)
+            target = reps.get(c)
             if target is None:
                 raise InternalInconsistency(
-                    f"no state row matches the ({'·'.join(q) or 'e'}, {a}) row"
+                    f"no state row matches the ({render_word(q, alphabet)}, {a}) row"
                 )
             try:
-                step = m.left_divide(table.lam[q], table.lam[q + (a,)])
+                step = m.left_divide(table.lam[q], table.lam[qa])
             except Exception as exc:  # divisibility is defect-freeness
                 raise InternalInconsistency(str(exc)) from exc
             transitions[(ids[q], a)] = (step, ids[target])
 
     initial = None
-    if not _is_bottom(table.row(EMPTY)):
+    if cls[EMPTY] != BOTTOM:
         initial = (table.lam[EMPTY], ids[EMPTY])
-    return Transducer(
-        monoid=m,
-        alphabet=table.alphabet,
-        states=tuple(ids[s] for s in states),
-        initial=initial,
-        termination=termination,
-        transitions=transitions,
-    )
+    # Reduced rows, left-gcds and their quotients are canonical.
+    return _assemble(m, alphabet, tuple(ids.values()), initial, termination, transitions)
 
 
 def process_counterexample(table: ObservationTable, word: Word, membership: MembershipFn) -> int:
@@ -358,9 +366,7 @@ def learn(
     stats = LearnStats()
     table = ObservationTable(monoid, alphabet)
 
-    def notify(event: str, payload) -> None:
-        if observer is not None:
-            observer(event, payload)
+    notify = observer or (lambda event, payload: None)
 
     def check_caps() -> None:
         stats.membership_queries = table.queries
@@ -392,7 +398,6 @@ def learn(
         stats.equivalence_queries += 1
         verdict = equivalence(hypothesis)
         if verdict is None:
-            stats.membership_queries = table.queries
             return hypothesis, stats
         word = tuple(verdict.word)
         notify("counterexample", word)

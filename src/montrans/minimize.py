@@ -11,7 +11,10 @@
    over ``(letter, output)`` labels and every merge witness is the unit.
 
 The result is the minimal machine: all states reachable, recognizing distinct
-left-coprime functions.
+left-coprime functions.  Each stage builds its machine with
+``transducer._assemble``, without the constructor's checks: the parts come
+from a checked machine or from the monoid's canonical-in, canonical-out
+operations.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import IterationBudgetExceeded
 from .monoid import Element, PartialValue, left_divide_partial, lgcd_family, mul_partial
-from .transducer import Transducer
+from .transducer import Transducer, _assemble
 
 DEFAULT_ITERATION_CAP = 10_000
 
@@ -48,20 +51,14 @@ class StagedMinimization:
         )
 
 
-def _restrict(t: Transducer, keep: list[str], drop_initial: bool) -> Transducer:
+def _restrict(t: Transducer, keep: list[str]) -> Transducer:
     kept = set(keep)
-    return Transducer(
-        monoid=t.monoid,
-        alphabet=t.alphabet,
-        states=tuple(keep),
-        initial=None if (drop_initial or t.initial is None) else t.initial,
-        termination={s: t.termination[s] for s in keep},
-        transitions={
-            (s, a): step
-            for (s, a), step in t.transitions.items()
-            if s in kept and step[1] in kept
-        },
-    )
+    transitions = {
+        (s, a): step for (s, a), step in t.transitions.items() if s in kept and step[1] in kept
+    }
+    initial = t.initial if t.initial is not None and t.initial[1] in kept else None
+    termination = {s: t.termination[s] for s in keep}
+    return _assemble(t.monoid, t.alphabet, tuple(keep), initial, termination, transitions)
 
 
 def reach(t: Transducer) -> Transducer:
@@ -70,7 +67,7 @@ def reach(t: Transducer) -> Transducer:
     keep = t.reachable_states()
     if len(keep) == len(t.states):
         return t
-    return _restrict(t, keep, drop_initial=False)
+    return _restrict(t, keep)
 
 
 def total(t: Transducer) -> Transducer:
@@ -80,8 +77,7 @@ def total(t: Transducer) -> Transducer:
     keep = t.productive_states()
     if len(keep) == len(t.states):
         return t
-    drop_initial = t.initial is not None and t.initial[1] not in set(keep)
-    return _restrict(t, keep, drop_initial=drop_initial)
+    return _restrict(t, keep)
 
 
 def state_lgcds(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> dict[str, PartialValue]:
@@ -149,14 +145,8 @@ def _push(t: Transducer, beta: dict[str, Element]) -> Transducer:
     if initial is not None:
         value, s0 = initial
         initial = (m.mul(value, beta[s0]), s0)
-    return Transducer(
-        monoid=m,
-        alphabet=t.alphabet,
-        states=t.states,
-        initial=initial,
-        termination={s: left_divide_partial(m, beta[s], t.termination[s]) for s in t.states},
-        transitions=transitions,
-    )
+    termination = {s: left_divide_partial(m, beta[s], t.termination[s]) for s in t.states}
+    return _assemble(m, t.alphabet, t.states, initial, termination, transitions)
 
 
 def _moore_blocks(t: Transducer) -> dict[str, int]:
@@ -201,23 +191,18 @@ def observe(t: Transducer) -> tuple[Transducer, dict[str, tuple[str, Element]]]:
         reps.setdefault(blocks[s], s)
     unit = t.monoid.unit()
     witnesses = {s: (reps[blocks[s]], unit) for s in t.states}
-    keep = list(reps.values())
+    keep = tuple(reps.values())
     kept = set(keep)
     initial = t.initial
     if initial is not None:
         initial = (initial[0], reps[blocks[initial[1]]])
-    merged = Transducer(
-        monoid=t.monoid,
-        alphabet=t.alphabet,
-        states=tuple(keep),
-        initial=initial,
-        termination={s: t.termination[s] for s in keep},
-        transitions={
-            (s, a): (out, reps[blocks[target]])
-            for (s, a), (out, target) in t.transitions.items()
-            if s in kept
-        },
-    )
+    transitions = {
+        (s, a): (out, reps[blocks[target]])
+        for (s, a), (out, target) in t.transitions.items()
+        if s in kept
+    }
+    termination = {s: t.termination[s] for s in keep}
+    merged = _assemble(t.monoid, t.alphabet, keep, initial, termination, transitions)
     return merged, witnesses
 
 

@@ -23,7 +23,6 @@ from typing import Any, Iterable, Optional, Sequence
 from .errors import (
     MalformedElement,
     NotDivisible,
-    NotInvertible,
     SchemaError,
     UnknownGenerator,
 )
@@ -97,11 +96,6 @@ class Monoid:
         # Trace-like monoids have no non-trivial invertibles; groups override.
         return x == self.unit()
 
-    def inverse(self, x: Element) -> Element:
-        if not self.is_invertible(x):
-            raise NotInvertible(f"{self.render(x)} is not invertible in {self!r}")
-        return self.unit()
-
     def rank(self, x: Element) -> int:
         """Number of non-invertible factors in a maximal decomposition of ``x``."""
         raise NotImplementedError
@@ -132,7 +126,7 @@ class Monoid:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Monoid) and self.to_wire() == other.to_wire()
+        return self is other or (isinstance(other, Monoid) and self.to_wire() == other.to_wire())
 
     def __hash__(self):
         return hash(self.kind)
@@ -315,9 +309,14 @@ class TraceMonoid(_WordMonoid):
         return self._normalize(x + y, len(x))
 
     def lgcd2(self, x, y):
-        rx, ry = list(x), list(y)
-        out = []
-        while True:
+        # lgcd(p·x, p·y) = p·lgcd(x, y), p the common word prefix; normal as p·x is.
+        n = 0
+        for a, b in zip(x, y):
+            if a != b:
+                break
+            n += 1
+        rx, ry, out = list(x[n:]), list(y[n:]), list(x[:n])
+        while rx and ry:
             for g in self.generators:
                 i = self._extract_index(rx, g)
                 j = self._extract_index(ry, g) if i is not None else None
@@ -367,18 +366,23 @@ class CommutativeMonoid(_GeneratedMonoid):
     def unit(self) -> Element:
         return ()
 
-    def _from_counts(self, counts: dict[str, int]) -> Element:
-        return tuple([(g, counts[g]) for g in self.generators if counts.get(g)])
-
     def mul(self, x, y):
-        if not x:
-            return y
-        if not y:
-            return x
-        counts = dict(x)
-        for g, n in y:
-            counts[g] = counts.get(g, 0) + n
-        return self._from_counts(counts)
+        # Merge the two tuples, both ordered by generator declaration.
+        if not x or not y:
+            return x or y
+        index, out, i, j = self._index, [], 0, 0
+        while i < len(x) and j < len(y):
+            (g, n), (h, k) = x[i], y[j]
+            if g == h:
+                out.append((g, n + k))
+                i, j = i + 1, j + 1
+            elif index[g] < index[h]:
+                out.append(x[i])
+                i += 1
+            else:
+                out.append(y[j])
+                j += 1
+        return (*out, *x[i:], *y[j:])
 
     def lgcd2(self, x, y):
         dy = dict(y)
@@ -387,12 +391,18 @@ class CommutativeMonoid(_GeneratedMonoid):
     def left_divide(self, d, x):
         if not d:
             return x
-        counts = dict(x)
-        for g, n in d:
-            if counts.get(g, 0) < n:
-                raise NotDivisible(f"{self.render(d)} does not left-divide {self.render(x)}")
-            counts[g] -= n
-        return self._from_counts(counts)
+        # A shortfall, or a generator of d that x lacks, stays in ``taken``.
+        taken = dict(d)
+        out = []
+        for g, n in x:
+            n -= taken.pop(g, 0)
+            if n > 0:
+                out.append((g, n))
+            elif n < 0:
+                taken[g] = -n
+        if taken:
+            raise NotDivisible(f"{self.render(d)} does not left-divide {self.render(x)}")
+        return tuple(out)
 
     def rank(self, x):
         return sum(n for _, n in x)
@@ -404,7 +414,7 @@ class CommutativeMonoid(_GeneratedMonoid):
             if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
                 raise MalformedElement(f"counts must be positive integers, got {n!r} for {g!r}")
             counts[g] = counts.get(g, 0) + n
-        return self._from_counts(counts)
+        return tuple([(g, counts[g]) for g in self.generators if counts.get(g)])
 
     def parse(self, text: str) -> Element:
         return self.canonical((g, 1) for g in self._split(text))
@@ -500,9 +510,6 @@ class CyclicGroup(Monoid):
 
     def is_invertible(self, x):
         return True
-
-    def inverse(self, x):
-        return (-x) % self.modulus
 
     def rank(self, x):
         return 0

@@ -5,6 +5,10 @@ Partiality is encoded by absence: the initial pair is optional, transitions
 may be missing, and termination values may be ``None`` (the undefined ``⊥``).
 A machine recognizes the partial function ``w -> init · outputs(w) · term``,
 undefined as soon as any step is.
+
+``Transducer(...)`` checks every field.  Machines built inside the library
+from parts already known to be valid and canonical (hypotheses, minimization
+stages, documents ``deserialize`` has checked) skip those checks.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .monoid import (
     Element,
     Monoid,
     PartialValue,
+    SEP,
     monoid_from_wire,
     mul_partial,
     render_partial,
@@ -77,15 +82,14 @@ class Transducer:
 
     # -- evaluation --------------------------------------------------------
 
-    def _check_word(self, word: Word) -> None:
+    def eval(self, word: Word) -> PartialValue:
+        """Value of the recognized function on ``word`` (``None`` for ``⊥``)."""
         for a in word:
             if a not in self.alphabet:
                 raise UnknownLetter(f"letter {a!r} is not in the alphabet {list(self.alphabet)}")
-
-    def _run(self, config: Optional[tuple[Element, str]], word: Word) -> PartialValue:
-        if config is None:
+        if self.initial is None:
             return None
-        value, state = config
+        value, state = self.initial
         for a in word:
             step = self.transitions.get((state, a))
             if step is None:
@@ -93,18 +97,6 @@ class Transducer:
             out, state = step
             value = self.monoid.mul(value, out)
         return mul_partial(self.monoid, value, self.termination[state])
-
-    def eval(self, word: Word) -> PartialValue:
-        """Value of the recognized function on ``word`` (``None`` for ``⊥``)."""
-        self._check_word(word)
-        return self._run(self.initial, word)
-
-    def state_eval(self, state: str, word: Word) -> PartialValue:
-        """Value recognized from ``state`` with a unit initial value."""
-        if state not in self.termination:
-            raise ValueError(f"unknown state {state!r}")
-        self._check_word(word)
-        return self._run((self.monoid.unit(), state), word)
 
     # -- structure ---------------------------------------------------------
 
@@ -206,6 +198,21 @@ class Transducer:
         return f"Transducer({len(self.states)} states, {self.monoid.kind})"
 
 
+def _assemble(monoid, alphabet, states, initial, termination, transitions) -> Transducer:
+    """``Transducer(...)`` without its checks, for valid canonical parts;
+    ``termination`` is still completed to one entry per state."""
+    machine = object.__new__(Transducer)
+    machine.__dict__.update(
+        monoid=monoid,
+        alphabet=alphabet,
+        states=states,
+        initial=initial,
+        termination={s: termination.get(s) for s in states},
+        transitions=transitions,
+    )
+    return machine
+
+
 def _expect(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise SchemaError(f"{path}.{key}", "missing field")
@@ -245,6 +252,8 @@ def deserialize(text: str) -> Transducer:
     for i, a in enumerate(alphabet):
         if not isinstance(a, str) or not a:
             raise SchemaError(f"$.alphabet[{i}]", "letters must be non-empty strings")
+        if SEP in a:
+            raise SchemaError(f"$.alphabet[{i}]", f"letters must not contain {SEP!r}")
     if len(set(alphabet)) != len(alphabet):
         raise SchemaError("$.alphabet", "duplicate letters")
     for i, s in enumerate(states):
@@ -292,14 +301,8 @@ def deserialize(text: str) -> Transducer:
         out = _decode_element(monoid, _expect(entry, "output", None, path), f"{path}.output")
         transitions[(s, a)] = (out, target)
 
-    return Transducer(
-        monoid=monoid,
-        alphabet=tuple(alphabet),
-        states=tuple(states),
-        initial=initial,
-        termination=termination,
-        transitions=transitions,
-    )
+    # Every field was checked above and ``decode`` canonicalizes each value.
+    return _assemble(monoid, tuple(alphabet), tuple(states), initial, termination, transitions)
 
 
 def parse_word(alphabet: tuple[str, ...], text: str) -> Word:

@@ -11,11 +11,14 @@ from montrans import (
     FreeMonoid,
     Monoid,
     NatAddMonoid,
+    NotInvertible,
     TraceMonoid,
     Transducer,
+    UnknownLetter,
     deserialize,
     lgcd_family,
     make_monoid,
+    mul_partial,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -34,6 +37,34 @@ def standard_monoids() -> dict[str, Monoid]:
         "nat-add": NatAddMonoid(),
         "cyclic-group": CyclicGroup(3),
     }
+
+
+def inverse(monoid: Monoid, x):
+    """The inverse of ``x``; raises :class:`NotInvertible` unless ``x`` is
+    invertible."""
+    if not monoid.is_invertible(x):
+        raise NotInvertible(f"{monoid.render(x)} is not invertible in {monoid!r}")
+    if isinstance(monoid, CyclicGroup):
+        return (-x) % monoid.modulus
+    return monoid.unit()
+
+
+def state_eval(t: Transducer, state: str, word: tuple):
+    """Value ``t`` recognizes on ``word`` from ``state`` with a unit initial
+    value (``None`` for ``⊥``)."""
+    if state not in t.termination:
+        raise ValueError(f"unknown state {state!r}")
+    for a in word:
+        if a not in t.alphabet:
+            raise UnknownLetter(f"letter {a!r} is not in the alphabet {list(t.alphabet)}")
+    value = t.monoid.unit()
+    for a in word:
+        step = t.transitions.get((state, a))
+        if step is None:
+            return None
+        out, state = step
+        value = t.monoid.mul(value, out)
+    return mul_partial(t.monoid, value, t.termination[state])
 
 
 def beta_loop(kind: str = "free") -> Transducer:

@@ -67,6 +67,15 @@ def test_eval_malformed_monoid_exits_2(tmp_path, capsys):
     assert "monoid.generators" in capsys.readouterr().err
 
 
+def test_eval_separator_in_letter_exits_2(tmp_path, capsys):
+    doc = json.loads(load_machine("beta_loop_free.json").serialize())
+    doc["alphabet"][1] = "b·c"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["eval", "--machine", str(bad), "b·c"]) == 2
+    assert capsys.readouterr().err.startswith("error: $.alphabet[1]: letters must not contain")
+
+
 def test_minimize_writes_golden_file(tmp_path):
     out = tmp_path / "minimal.json"
     assert main(["minimize", "--machine", BETA_LOOP_COMMUTATIVE, "-o", str(out)]) == 0

@@ -10,6 +10,7 @@ import pytest
 from montrans import (
     BudgetExceeded,
     DefectKind,
+    InternalInconsistency,
     LearnLimits,
     ObservationTable,
     TraceMonoid,
@@ -24,13 +25,14 @@ from montrans import (
     iso_check,
     learn,
     lgcd_family,
+    membership_oracle,
     minimize,
     mul_partial,
     process_counterexample,
     red_row,
 )
 import montrans.learner
-from montrans.learner import EMPTY, Defect, _row_classes
+from montrans.learner import BOTTOM, EMPTY, Defect, _row_classes
 
 from helpers import learning_target, load_machine, random_machine, standard_monoids
 
@@ -104,6 +106,38 @@ def test_rows_are_keyed_by_word(monkeypatch):
             target = random_machine(monoid, rng, max_states=6, max_letters=3)
             learn(monoid, target.alphabet, target.eval, equivalence_oracle(target))
     assert all(shared[kind] > 0 for kind in standard_monoids()), shared
+
+
+def test_class_ids_match_reduced_rows(monkeypatch):
+    """After every ``fill`` each word of ``Q ∪ Q·A`` has a class id, two words
+    have equal ids exactly when their reduced rows are equal, and the
+    nowhere-defined row has the id ``BOTTOM``."""
+    fill = ObservationTable.fill
+    widths = Counter()
+
+    def checked_fill(table, membership):
+        fill(table, membership)
+        words = {q + ext for q in table.prefixes for ext in ((), *((a,) for a in table.alphabet))}
+        assert set(table.class_ids) == words
+        ids_of_row: dict[tuple, set] = {}
+        for w in words:
+            ids_of_row.setdefault(table.row(w), set()).add(table.class_ids[w])
+        assert all(len(ids) == 1 for ids in ids_of_row.values())
+        assert len(set().union(*ids_of_row.values())) == len(ids_of_row)
+        for row, ids in ids_of_row.items():
+            assert (ids == {BOTTOM}) == all(v is None for v in row)
+        widths[len(table.suffixes) > 1] += 1
+
+    monkeypatch.setattr(ObservationTable, "fill", checked_fill)
+    rng = random.Random(38)
+    targets = [learning_target()] + [
+        random_machine(monoid, rng, max_states=6, max_letters=3)
+        for monoid in standard_monoids().values()
+        for _ in range(20)
+    ]
+    for target in targets:
+        learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    assert widths[True] > 0 and widths[False] > 0, widths
 
 
 def test_table_coherence_and_coprimality(target):
@@ -364,6 +398,40 @@ def test_state_named_e_gets_a_fresh_id():
     machine, _ = learn(m, target.alphabet, target.eval, equivalence_oracle(target))
     assert machine.states == ("e", "⟨e⟩")
     assert brute_force_diff(machine, target, 4) is None
+
+
+def test_unclosed_table_error_renders_the_prefix():
+    """Over the alphabet ``{e}`` the empty word renders as ``ε``, so the
+    message cannot be read as naming the word ``e``."""
+    table = ObservationTable(standard_monoids()["nat-add"], ("e",))
+    table.add_suffix(("e",))
+    table.fill(lambda word: 0 if len(word) % 2 == 0 else None)
+    assert find_defect(table) == Defect(DefectKind.CLOSURE, ("e",))
+    with pytest.raises(InternalInconsistency, match=r"^no state row matches the \(ε, e\) row$"):
+        build_hypothesis(table)
+
+
+def test_learn_makes_no_canonical_calls(monkeypatch):
+    """The learn path builds every value with canonical-in, canonical-out
+    operations and never canonicalizes one again."""
+    rng = random.Random(39)
+    targets = [learning_target()] + [
+        random_machine(monoid, rng, max_states=6, max_letters=3)
+        for monoid in standard_monoids().values()
+        for _ in range(20)
+    ]
+    calls = Counter()
+    for monoid in standard_monoids().values():
+        canonical = type(monoid).canonical
+
+        def counted(self, payload, canonical=canonical):
+            calls[self.kind] += 1
+            return canonical(self, payload)
+
+        monkeypatch.setattr(type(monoid), "canonical", counted)
+    for target in targets:
+        learn(target.monoid, target.alphabet, membership_oracle(target), equivalence_oracle(target))
+    assert calls == Counter()
 
 
 def test_learn_stats_monotone_fields(target):

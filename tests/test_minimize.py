@@ -28,6 +28,7 @@ from helpers import (
     learning_target,
     random_machine,
     standard_monoids,
+    state_eval,
     words_up_to,
 )
 
@@ -165,7 +166,7 @@ def test_observe_merges_disconnected_twin_copies():
         },
     )
     rows = {
-        s: tuple(t.state_eval(s, w) for w in words_up_to(t.alphabet, 6)) for s in ("x", "y")
+        s: tuple(state_eval(t, s, w) for w in words_up_to(t.alphabet, 6)) for s in ("x", "y")
     }
     assert rows["x"] == rows["y"]
     merged, witnesses = observe(t)
@@ -250,7 +251,7 @@ def test_observe_agrees_with_brute_force_rows():
             _, witnesses = observe(pushed)
             words = list(words_up_to(pushed.alphabet, 6))
             rows = {
-                s: red_row(monoid, tuple(pushed.state_eval(s, w) for w in words))
+                s: red_row(monoid, tuple(state_eval(pushed, s, w) for w in words))
                 for s in pushed.states
             }
             for s1 in pushed.states:
@@ -343,5 +344,5 @@ def test_check_minimal_cyclic_group_non_unit_lgcds():
         transitions={("x", "a"): (0, "y"), ("y", "a"): (2, "x")},
     )
     for w in words_up_to(u.alphabet, 6):
-        assert u.state_eval("y", w) == z3.mul(1, u.state_eval("x", w))
+        assert state_eval(u, "y", w) == z3.mul(1, state_eval(u, "x", w))
     assert not check_minimal(u)

@@ -24,7 +24,7 @@ from montrans import (
 )
 from montrans.errors import SchemaError
 
-from helpers import brute_trace_lgcd, random_element, standard_monoids, trace_class
+from helpers import brute_trace_lgcd, inverse, random_element, standard_monoids, trace_class
 
 MONOIDS = standard_monoids()
 
@@ -97,12 +97,12 @@ def test_invertibility():
     free = MONOIDS["free"]
     assert not free.is_invertible(("α",))
     with pytest.raises(NotInvertible):
-        free.inverse(("α",))
+        inverse(free, ("α",))
     cyclic = CyclicGroup(3)
-    assert cyclic.inverse(2) == 1
+    assert inverse(cyclic, 2) == 1
     for m in MONOIDS.values():
         assert m.is_invertible(m.unit())
-        assert m.inverse(m.unit()) == m.unit()
+        assert inverse(m, m.unit()) == m.unit()
 
 
 def test_left_divide_examples():
@@ -279,6 +279,7 @@ def test_law_associativity_and_unit(monoid):
         x, y, z = (random_element(monoid, rng) for _ in range(3))
         for a, b, c in ((x, y, z), (e, y, z), (x, e, z), (x, y, e), (e, e, e)):
             assert monoid.mul(a, monoid.mul(b, c)) == monoid.mul(monoid.mul(a, b), c)
+        assert monoid.canonical(monoid.mul(x, y)) == monoid.mul(x, y)  # canonical out
         assert monoid.mul(monoid.unit(), x) == x
         assert monoid.mul(x, monoid.unit()) == x
 

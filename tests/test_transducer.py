@@ -3,19 +3,27 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import json
 import random
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import montrans.learner
+import montrans.transducer
 from montrans import (
     SchemaError,
     Transducer,
     UnknownLetter,
+    check_minimal,
     deserialize,
+    equivalence_oracle,
+    learn,
+    minimize,
     mul_partial,
     parse_word,
     render_word,
@@ -23,7 +31,16 @@ from montrans import (
 
 from montrans.cli import main
 
-from helpers import DATA, beta_loop, load_machine, random_machine, standard_monoids, words_up_to
+from helpers import (
+    DATA,
+    beta_loop,
+    chain,
+    load_machine,
+    random_machine,
+    standard_monoids,
+    state_eval,
+    words_up_to,
+)
 
 
 @pytest.fixture
@@ -49,13 +66,13 @@ def test_eval_unknown_letter(machine):
 
 def test_state_eval(machine):
     p = machine.monoid.parse
-    assert machine.state_eval("3", ("b",)) == p("β·α")
+    assert state_eval(machine, "3", ("b",)) == p("β·α")
     for s in machine.states:
-        assert machine.state_eval(s, ()) == machine.termination[s]
-    assert machine.state_eval("4", ("b",)) is None
-    assert machine.state_eval("4", ()) == p("ε")
+        assert state_eval(machine, s, ()) == machine.termination[s]
+    assert state_eval(machine, "4", ("b",)) is None
+    assert state_eval(machine, "4", ()) == p("ε")
     with pytest.raises(ValueError):
-        machine.state_eval("9", ())
+        state_eval(machine, "9", ())
 
 
 def test_reachable_states(machine):
@@ -116,7 +133,9 @@ def test_eval_is_a_monoid_action():
                         break
                     step = t.transitions.get((config[1], a))
                     config = None if step is None else (monoid.mul(config[0], step[0]), step[1])
-                resumed = None if config is None else t._run(config, v)
+                resumed = None if config is None else mul_partial(
+                    monoid, config[0], state_eval(t, config[1], v)
+                )
                 assert resumed == t.eval(word)
 
 
@@ -136,7 +155,7 @@ def test_reachable_and_productive_are_fixpoints():
                 if target in productive:
                     assert s in productive
             for s in productive:
-                assert any(t.state_eval(s, w) is not None for w in words_up_to(t.alphabet, 6))
+                assert any(state_eval(t, s, w) is not None for w in words_up_to(t.alphabet, 6))
 
 
 def test_dead_prefix_stays_bottom(machine):
@@ -177,6 +196,39 @@ def test_construction_validation(machine):
         with pytest.raises(ValueError) as info:
             Transducer(**{**ok, **change})
         assert str(info.value) == message
+
+
+def test_assembled_machines_equal_checked_construction(monkeypatch):
+    """Every machine the library builds without the constructor's checks
+    (hypotheses, minimization stages, deserialized documents) equals, and
+    passes, the checked construction from the same fields."""
+    assemble = montrans.transducer._assemble
+    built = Counter()
+
+    def checked(module):
+        def build(monoid, alphabet, states, initial, termination, transitions):
+            machine = assemble(monoid, alphabet, states, initial, termination, transitions)
+            fields = dict(monoid=monoid, alphabet=alphabet, states=states, initial=initial)
+            assert machine == Transducer(**fields, termination=termination, transitions=transitions)
+            built[module.__name__] += 1
+            return machine
+
+        return build
+
+    minimize_module = importlib.import_module("montrans.minimize")
+    for module in (montrans.transducer, montrans.learner, minimize_module):
+        monkeypatch.setattr(module, "_assemble", checked(module))
+    rng = random.Random(40)
+    for monoid in standard_monoids().values():
+        for _ in range(10):
+            target = random_machine(monoid, rng, max_states=6, max_letters=3)
+            learn(monoid, target.alphabet, target.eval, equivalence_oracle(target))
+        for reset in (False, True):
+            assert check_minimal(minimize(chain(monoid, 12, 3, reset=reset)).minimal)
+    for path in sorted(DATA.glob("*.json")):
+        deserialize(path.read_text(encoding="utf-8"))
+    modules = ("montrans.learner", "montrans.minimize", "montrans.transducer")
+    assert all(built[name] > 0 for name in modules), built
 
 
 def test_serialize_round_trip(machine):
@@ -223,6 +275,11 @@ def test_deserialize_schema_errors(machine, tmp_path):
         deserialize(doc.replace('"4"\n  ]', '"3"\n  ]', 1))
     with pytest.raises(SchemaError, match=r"^\$\.transitions\[0\]\.from: unknown state '9'"):
         deserialize(doc.replace('"from": "1"', '"from": "9"', 1))
+    # Words over a letter that holds the separator would not read back.
+    with pytest.raises(SchemaError, match=r"^\$\.alphabet\[1\]: letters must not contain '·'"):
+        deserialize(doc.replace('"b"\n  ]', '"b·c"\n  ]', 1))
+    with pytest.raises(SchemaError, match=r"^\$\.alphabet\[0\]: letters must not contain '·'"):
+        deserialize(doc.replace('"alphabet": [\n    "a"', '"alphabet": [\n    "·"', 1))
 
     def with_monoid(wire):
         parsed = json.loads(doc)
