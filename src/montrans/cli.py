@@ -69,10 +69,7 @@ def cmd_minimize(args) -> int:
         _write(args.output + ".reach.json", staged.reach.serialize())
         _write(args.output + ".total.json", staged.total.serialize())
         _write(args.output + ".prefix.json", staged.prefix.serialize())
-        witnesses = {
-            state: {"representative": rep, "witness": machine.monoid.encode(chi)}
-            for state, (rep, chi) in staged.state_witnesses.items()
-        }
+        unit = machine.monoid.encode(machine.monoid.unit())
         report = {
             "state_counts": {
                 "input": len(machine.states),
@@ -81,7 +78,9 @@ def cmd_minimize(args) -> int:
                 "prefix": len(staged.prefix.states),
                 "minimal": len(staged.minimal.states),
             },
-            "merges": witnesses,
+            "merges": {
+                s: {"representative": r, "witness": unit} for s, r in staged.representatives.items()
+            },
         }
         _write(args.output + ".witnesses.json", json.dumps(report, ensure_ascii=False, indent=2) + "\n")
     return 0

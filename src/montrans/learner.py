@@ -79,9 +79,6 @@ class Defect:
     kind: DefectKind
     word: Word
 
-    def __str__(self):
-        return f"{self.kind.value}({'·'.join(self.word) or 'e'})"
-
 
 @dataclass
 class LearnStats:

@@ -8,7 +8,8 @@
    so every state recognizes a left-coprime function;
 4. ``observe`` -- merge states recognizing equal functions.  After ``prefix``
    every state's function is canonical, so this is automaton minimization
-   over ``(letter, output)`` labels and every merge witness is the unit.
+   over ``(letter, output)`` labels: a merged state recognizes exactly its
+   representative's function, with no factor between them.
 
 The result is the minimal machine: all states reachable, recognizing distinct
 left-coprime functions.  Each stage builds its machine with
@@ -30,17 +31,17 @@ DEFAULT_ITERATION_CAP = 10_000
 
 @dataclass(frozen=True)
 class StagedMinimization:
-    """All four pipeline stages plus the merge witnesses of the last one.
+    """All four pipeline stages plus the merges of the last one.
 
-    ``state_witnesses`` maps every state that entered the merge stage to its
-    representative and the factor relating their functions (the unit).
+    ``representatives`` maps every state that entered the merge stage to the
+    state it was merged into, which recognizes the same function.
     """
 
     reach: Transducer
     total: Transducer
     prefix: Transducer
     minimal: Transducer
-    state_witnesses: dict[str, tuple[str, Element]]
+    representatives: dict[str, str]
 
     def state_counts(self) -> tuple[int, int, int, int]:
         return (
@@ -175,22 +176,19 @@ def _moore_blocks(t: Transducer) -> dict[str, int]:
     return blocks
 
 
-def observe(t: Transducer) -> tuple[Transducer, dict[str, tuple[str, Element]]]:
+def observe(t: Transducer) -> tuple[Transducer, dict[str, str]]:
     """Merge the states of a pushed machine that recognize equal functions.
 
     After ``prefix`` every state recognizes a canonical left-coprime
     function, so "equal up to an invertible left factor" is plain equality
     and this stage is automaton minimization over ``(letter, output)``
     labels (Mohri's push-then-minimize).  Returns the merged machine and, for
-    every input state, its representative (earliest in declaration order)
-    together with the merge witness, which is always the unit.
+    every input state, its representative (earliest in declaration order).
     """
     blocks = _moore_blocks(t)
     reps: dict[int, str] = {}
     for s in t.states:
         reps.setdefault(blocks[s], s)
-    unit = t.monoid.unit()
-    witnesses = {s: (reps[blocks[s]], unit) for s in t.states}
     keep = tuple(reps.values())
     kept = set(keep)
     initial = t.initial
@@ -203,7 +201,7 @@ def observe(t: Transducer) -> tuple[Transducer, dict[str, tuple[str, Element]]]:
     }
     termination = {s: t.termination[s] for s in keep}
     merged = _assemble(t.monoid, t.alphabet, keep, initial, termination, transitions)
-    return merged, witnesses
+    return merged, {s: reps[blocks[s]] for s in t.states}
 
 
 def minimize(t: Transducer) -> StagedMinimization:
@@ -211,13 +209,13 @@ def minimize(t: Transducer) -> StagedMinimization:
     reached = reach(t)
     trimmed = total(reached)
     pushed = prefix(trimmed)
-    minimal, witnesses = observe(pushed)
+    minimal, representatives = observe(pushed)
     return StagedMinimization(
         reach=reached,
         total=trimmed,
         prefix=pushed,
         minimal=minimal,
-        state_witnesses=witnesses,
+        representatives=representatives,
     )
 
 

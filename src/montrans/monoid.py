@@ -43,6 +43,16 @@ BOTTOM_TEXT = "⊥"
 SEP = "·"
 
 
+def _split_letters(text: str, letters: Iterable[str]) -> list[str]:
+    """``text`` split on ``·``, or into characters when every one of
+    ``letters`` is a single character; otherwise ``[text]``."""
+    if SEP in text:
+        return text.split(SEP)
+    if all(len(g) == 1 for g in letters):
+        return list(text)
+    return [text]
+
+
 def _check_generators(generators: Sequence[str]) -> tuple[str, ...]:
     gens = tuple(generators)
     if not gens:
@@ -150,15 +160,13 @@ class _GeneratedMonoid(Monoid):
     def _split(self, text: str) -> list[str]:
         if text in ("", UNIT_TEXT):
             return []
-        if SEP in text:
-            parts = text.split(SEP)
-        elif all(len(g) == 1 for g in self.generators):
-            parts = list(text)
-        else:
-            parts = [text]
+        parts = _split_letters(text, self.generators)
         if any(not p for p in parts):
             raise MalformedElement(f"malformed element text: {text!r}")
         return [self._check_letter(p) for p in parts]
+
+    def to_wire(self) -> dict:
+        return {"kind": self.kind, "generators": list(self.generators)}
 
 
 class _WordMonoid(_GeneratedMonoid):
@@ -211,9 +219,6 @@ class FreeMonoid(_WordMonoid):
         for g in word:
             self._check_letter(g)
         return word
-
-    def to_wire(self) -> dict:
-        return {"kind": self.kind, "generators": list(self.generators)}
 
 
 class TraceMonoid(_WordMonoid):
@@ -431,17 +436,36 @@ class CommutativeMonoid(_GeneratedMonoid):
             raise MalformedElement(f"expected an object of generator counts, got {value!r}")
         return self.canonical(value.items())
 
-    def to_wire(self) -> dict:
-        return {"kind": self.kind, "generators": list(self.generators)}
 
-
-class NatAddMonoid(Monoid):
-    """Natural numbers under addition."""
-
-    kind = "nat-add"
+class _NumberMonoid(Monoid):
+    """Text and wire forms of the integer monoids; ``noun`` names an element in errors."""
 
     def unit(self):
         return 0
+
+    def parse(self, text: str):
+        if text == UNIT_TEXT:
+            return 0
+        try:
+            return self.canonical(int(text))
+        except (ValueError, MalformedElement):
+            raise MalformedElement(f"malformed {self.noun}: {text!r}") from None
+
+    def render(self, x):
+        return str(x)
+
+    def encode(self, x):
+        return x
+
+    def decode(self, value):
+        return self.canonical(value)
+
+
+class NatAddMonoid(_NumberMonoid):
+    """Natural numbers under addition."""
+
+    kind = "nat-add"
+    noun = "natural number"
 
     def mul(self, x, y):
         return x + y
@@ -462,39 +486,20 @@ class NatAddMonoid(Monoid):
             raise MalformedElement(f"expected a natural number, got {payload!r}")
         return payload
 
-    def parse(self, text: str):
-        if text == UNIT_TEXT:
-            return 0
-        try:
-            return self.canonical(int(text))
-        except (ValueError, MalformedElement):
-            raise MalformedElement(f"malformed natural number: {text!r}") from None
-
-    def render(self, x):
-        return str(x)
-
-    def encode(self, x):
-        return x
-
-    def decode(self, value):
-        return self.canonical(value)
-
     def to_wire(self) -> dict:
         return {"kind": self.kind}
 
 
-class CyclicGroup(Monoid):
+class CyclicGroup(_NumberMonoid):
     """Integers modulo ``modulus`` under addition; every element invertible."""
 
     kind = "cyclic-group"
+    noun = "residue"
 
     def __init__(self, modulus: int):
         if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 1:
             raise ValueError(f"modulus must be a positive integer, got {modulus!r}")
         self.modulus = modulus
-
-    def unit(self):
-        return 0
 
     def mul(self, x, y):
         return (x + y) % self.modulus
@@ -518,23 +523,6 @@ class CyclicGroup(Monoid):
         if not isinstance(payload, int) or isinstance(payload, bool):
             raise MalformedElement(f"expected an integer residue, got {payload!r}")
         return payload % self.modulus
-
-    def parse(self, text: str):
-        if text == UNIT_TEXT:
-            return 0
-        try:
-            return self.canonical(int(text))
-        except (ValueError, MalformedElement):
-            raise MalformedElement(f"malformed residue: {text!r}") from None
-
-    def render(self, x):
-        return str(x)
-
-    def encode(self, x):
-        return x
-
-    def decode(self, value):
-        return self.canonical(value)
 
     def to_wire(self) -> dict:
         return {"kind": self.kind, "modulus": self.modulus}

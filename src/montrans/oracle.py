@@ -1,23 +1,24 @@
 """Oracles for the learner and for cross-validation.
 
 ``membership_oracle`` and ``equivalence_oracle`` wrap a reference machine as
-the two query functions the learner needs; the equivalence oracle trims both
-machines and walks their configuration pairs breadth-first, which both proves
-equivalence and finds the length-lex-first counterexample.  Neither machine
-is minimized: on two equivalent trim machines a configuration pair's key
-``(s₁, s₂, a, b)`` is fixed by its state pair, since ``a·β(s₁) = b·β(s₂)``
-with ``β`` a state's left-gcd and ``lgcd(a, b) = 1``, and in these gcd
-monoids that coprime pair is unique (for a cyclic group it is ``(0, χ)``,
-with ``χ`` fixed once the state's function is defined somewhere).  This is
-the delay argument of Béal, Carton, Prieur and Sakarovitch (*Squaring
-transducers*, 2003), so the walk meets at most one key per state pair.
-``iso_check`` is the structural check: it decides equality of two minimal
-machines up to state renaming and invertible output factors.
-``brute_force_diff`` is the dumb word-enumeration oracle used to validate
-everything else: an unpruned walk over all words that carries both machines'
-configurations.  ``adversarial_oracle`` answers membership queries with
-free-monoid representatives chosen so that a free-monoid learning run never
-converges.
+the two query functions the learner needs; the equivalence oracle drops both
+machines' non-productive states and walks their configuration pairs
+breadth-first, which both proves equivalence and finds the length-lex-first
+counterexample.  Neither machine is minimized: on two equivalent machines
+with productive states a configuration pair's key ``(s₁, s₂, a, b)`` is
+fixed by its state pair, since ``a·β(s₁) = b·β(s₂)`` with ``β`` a state's
+left-gcd and ``lgcd(a, b) = 1``, and in these gcd monoids that coprime pair
+is unique (for a cyclic group it is ``(0, χ)``).  This is the delay argument
+of Béal, Carton, Prieur and Sakarovitch (*Squaring transducers*, 2003).  So
+the walk meets at most one key per state pair, and on machines that differ
+a second key of a state pair, or a one-sided one, shows up within ``n₁·n₂``
+letters and a difference within ``max(n₁, n₂)`` more.  ``iso_check`` reads
+its pairing of two minimal machines off the same walk: they are isomorphic
+exactly when they are equivalent.  ``brute_force_diff`` is the dumb
+word-enumeration oracle used to validate everything else: an unpruned walk
+over all words that carries both machines' configurations.
+``adversarial_oracle`` answers membership queries with free-monoid
+representatives chosen so that a free-monoid learning run never converges.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import NotDivisible, NotMinimalInput, SearchBoundExceeded, UnknownLetter
-from .minimize import check_minimal, reach, total
+from .errors import NotMinimalInput, SearchBoundExceeded, UnknownLetter
+from .minimize import check_minimal, total
 from .monoid import Element, FreeMonoid, PartialValue, mul_partial
 from .transducer import Transducer, Word
 
@@ -101,24 +102,24 @@ def _config_key(m, c1, c2):
     return (c1[1], c2[1], m.left_divide(g, c1[0]), m.left_divide(g, c2[0]))
 
 
-def _first_difference(t1: Transducer, t2: Transducer, max_len: int) -> Optional[Word]:
-    """Length-lex-first word where evaluations differ, or ``None`` when the
-    machines are equivalent.
+def _walk(t1: Transducer, t2: Transducer, max_len: int) -> tuple[Optional[Word], dict]:
+    """Length-lex-first word where evaluations differ (``None`` when the
+    machines are equivalent), and the :func:`_config_key` keys met, in order.
 
-    A breadth-first walk over configuration pairs, pruned up to
-    :func:`_config_key`; ``None`` means every pair was explored without a
-    difference.  Raises :class:`SearchBoundExceeded` when no difference is
-    found up to length ``max_len`` but an unexplored pair lies beyond it.
-    On trim machines that are equivalent the walk always runs out of pairs.
+    A breadth-first walk over configuration pairs, pruned up to their keys;
+    ``None`` means every pair was explored without a difference.  Raises
+    :class:`SearchBoundExceeded` when no difference is found up to length
+    ``max_len`` but an unexplored pair lies beyond it.  On trim machines that
+    are equivalent the walk always runs out of pairs.
     """
     m = t1.monoid
-    seen = {_config_key(m, t1.initial, t2.initial)}
+    seen = dict.fromkeys([_config_key(m, t1.initial, t2.initial)])
     frontier: deque[tuple[Word, object, object]] = deque([((), t1.initial, t2.initial)])
     truncated = False
     while frontier:
         w, c1, c2 = frontier.popleft()
         if _value(t1, c1) != _value(t2, c2):
-            return w
+            return w, seen
         for a in t1.alphabet:
             n1, n2 = _step(t1, c1, a), _step(t2, c2, a)
             if n1 is None and n2 is None:
@@ -129,35 +130,40 @@ def _first_difference(t1: Transducer, t2: Transducer, max_len: int) -> Optional[
             if len(w) >= max_len:
                 truncated = True
                 continue
-            seen.add(key)
+            seen[key] = None
             frontier.append((w + (a,), n1, n2))
     if truncated:
         raise SearchBoundExceeded(f"no difference up to length {max_len}, and the walk goes on")
-    return None
+    return None, seen
+
+
+def _first_difference(t1: Transducer, t2: Transducer, max_len: int) -> Optional[Word]:
+    """Length-lex-first word where evaluations differ, or ``None`` when the
+    machines are equivalent; see :func:`_walk`."""
+    return _walk(t1, t2, max_len)[0]
 
 
 def equivalence_oracle(reference: Transducer) -> Callable[[Transducer], EquivalenceVerdict]:
     """Exact equivalence with counterexample extraction.
 
     The reference is trimmed once, when the oracle is built, and each call
-    trims the hypothesis (``total(reach(·))`` keeps a machine that is already
-    trim as it is).  The two trimmed machines' configuration pairs are walked
-    by :func:`_first_difference`.  The hypothesis is accepted when the walk
-    runs out of pairs; otherwise the first differing word in length-lex order
-    is returned with both values.
+    trims the hypothesis: ``total`` drops non-productive states (and keeps a
+    machine without any as it is), and unreachable ones never enter the walk
+    of :func:`_first_difference`, which starts at the initial pair.  The
+    hypothesis is accepted when the walk runs out of pairs; otherwise the
+    first differing word in length-lex order is returned with both values.
 
-    The walk's bound counts the trimmed states.  On two equivalent trim
-    machines the key of a configuration pair, its carried values once their
-    common left-gcd is divided out, depends only on its two states (see the
-    module docstring), so the walk meets fewer pairs than the bound.  The
-    first differing word depends only on the two recognized functions, so
-    the verdict is the one on the two minimal machines.
+    The walk's bound ``(n₁+1)(n₂+1)`` counts the trimmed states, reachable
+    or not, so it exceeds the number of state pairs and the length at which
+    machines that differ show it (see the module docstring).  The first
+    differing word depends only on the two recognized functions, so the
+    verdict is the one on the two minimal machines.
     """
-    ref = total(reach(reference))
+    ref = total(reference)
 
     def oracle(hypothesis: Transducer) -> EquivalenceVerdict:
         _require_comparable(reference, hypothesis)
-        trimmed = total(reach(hypothesis))
+        trimmed = total(hypothesis)
         bound = (len(ref.states) + 1) * (len(trimmed.states) + 1)
         word = _first_difference(ref, trimmed, bound)
         if word is None:
@@ -175,57 +181,21 @@ def iso_check(t1: Transducer, t2: Transducer) -> Optional[dict[str, tuple[str, E
     bijection exists.  Differing state counts are rejected before minimality
     is validated; equal-count non-minimal inputs raise
     :class:`NotMinimalInput`.
+
+    The pairing is read off :func:`_walk`: on equivalent minimal machines it
+    meets one key ``(s₁, s₂, a, b)`` per state, with ``a·χ = b``.
     """
     _require_comparable(t1, t2)
     if len(t1.states) != len(t2.states):
         return None
     if not check_minimal(t1) or not check_minimal(t2):
         raise NotMinimalInput("iso_check requires minimal machines")
-    if t1.initial is None and t2.initial is None:
-        return {}
-    if (t1.initial is None) or (t2.initial is None):
+    word, seen = _walk(t1, t2, (len(t1.states) + 1) * (len(t2.states) + 1))
+    if word is not None:
         return None
-
     m = t1.monoid
-    (v1, s1), (v2, s2) = t1.initial, t2.initial
-    try:
-        chi0 = m.left_divide(v1, v2)
-    except NotDivisible:
-        return None
-    if not m.is_invertible(chi0):
-        return None
-
-    pairing: dict[str, tuple[str, Element]] = {s1: (s2, chi0)}
-    queue = deque([(s1, s2, chi0)])
-    while queue:
-        a1, a2, chi = queue.popleft()
-        if t1.termination[a1] != mul_partial(m, chi, t2.termination[a2]):
-            return None
-        for a in t1.alphabet:
-            step1 = t1.transitions.get((a1, a))
-            step2 = t2.transitions.get((a2, a))
-            if (step1 is None) != (step2 is None):
-                return None
-            if step1 is None:
-                continue
-            (m1, n1), (m2, n2) = step1, step2
-            try:
-                chi2 = m.left_divide(m1, m.mul(chi, m2))
-            except NotDivisible:
-                return None
-            if not m.is_invertible(chi2):
-                return None
-            if n1 in pairing:
-                if pairing[n1] != (n2, chi2):
-                    return None
-            else:
-                pairing[n1] = (n2, chi2)
-                queue.append((n1, n2, chi2))
-    if len(pairing) != len(t1.states):
-        return None
-    if len({partner for partner, _ in pairing.values()}) != len(pairing):
-        return None
-    return pairing
+    seen.pop(None, None)  # the key of two empty machines
+    return {s1: (s2, m.left_divide(a, b)) for s1, s2, a, b in seen}
 
 
 ADVERSARY_GENERATORS = ("α", "β", "γ")

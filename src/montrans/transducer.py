@@ -24,6 +24,7 @@ from .monoid import (
     Monoid,
     PartialValue,
     SEP,
+    _split_letters,
     monoid_from_wire,
     mul_partial,
     render_partial,
@@ -314,13 +315,7 @@ def parse_word(alphabet: tuple[str, ...], text: str) -> Word:
         return ()
     if text in alphabet:
         return (text,)
-    if "·" in text:
-        letters = text.split("·")
-    elif all(len(a) == 1 for a in alphabet):
-        letters = list(text)
-    else:
-        raise UnknownLetter("multi-character alphabet requires ·-separated words")
-    word = tuple(letters)
+    word = tuple(_split_letters(text, alphabet))
     for a in word:
         if a not in alphabet:
             raise UnknownLetter(f"letter {a!r} is not in the alphabet {list(alphabet)}")

@@ -341,6 +341,10 @@ def test_apply_defect_dedup(target):
     assert table.suffixes == [(), ("a",), ("b", "a")]
 
 
+def test_defect_text_tells_the_empty_word_from_letter_e():
+    assert str(Defect(DefectKind.CLOSURE, ())) != str(Defect(DefectKind.CLOSURE, ("e",)))
+
+
 def test_process_counterexample_adds_all_prefixes(target):
     table = fresh_table(target)
     process_counterexample(table, ("b", "b", "a"), target.eval)

@@ -130,26 +130,26 @@ def test_prefix_requires_trim_machine():
 
 def test_observe_merges_equivalent_states():
     pushed = prefix(total(reach(beta_loop("commutative"))))
-    merged, witnesses = observe(pushed)
+    merged, representatives = observe(pushed)
     m = merged.monoid
     assert merged.states == ("1",)
     assert merged.initial == (m.parse("α"), "1")
     assert merged.termination == {"1": m.unit()}
     assert merged.transitions == {("1", "b"): (m.parse("β"), "1")}
-    assert witnesses == {"1": ("1", m.unit()), "3": ("1", m.unit())}
+    assert representatives == {"1": "1", "3": "1"}
 
 
 def test_observe_keeps_distinguishable_states():
     target = learning_target()
-    merged, witnesses = observe(target)
+    merged, representatives = observe(target)
     assert merged == target
-    assert all(rep == s for s, (rep, _) in witnesses.items())
+    assert all(rep == s for s, rep in representatives.items())
 
 
 def test_observe_merges_disconnected_twin_copies():
     # a fork leading into two identical sub-machines; the copies must merge
-    # with unit witnesses (their languages agree on every word, which the
-    # brute-force rows up to length 6 confirm)
+    # (their languages agree on every word, which the brute-force rows up to
+    # length 6 confirm)
     m = standard_monoids()["free"]
     p = m.parse
     t = Transducer(
@@ -169,9 +169,9 @@ def test_observe_merges_disconnected_twin_copies():
         s: tuple(state_eval(t, s, w) for w in words_up_to(t.alphabet, 6)) for s in ("x", "y")
     }
     assert rows["x"] == rows["y"]
-    merged, witnesses = observe(t)
+    merged, representatives = observe(t)
     assert merged.states == ("f", "x")
-    assert witnesses["y"] == ("x", m.unit())
+    assert representatives["y"] == "x"
     assert merged.transitions[("f", "b")] == (p("β·β"), "x")
 
 
@@ -248,7 +248,7 @@ def test_observe_agrees_with_brute_force_rows():
         for _ in range(10):
             t = random_machine(monoid, rng, max_states=4, max_letters=2)
             pushed = prefix(total(reach(t)))
-            _, witnesses = observe(pushed)
+            _, representatives = observe(pushed)
             words = list(words_up_to(pushed.alphabet, 6))
             rows = {
                 s: red_row(monoid, tuple(state_eval(pushed, s, w) for w in words))
@@ -256,7 +256,7 @@ def test_observe_agrees_with_brute_force_rows():
             }
             for s1 in pushed.states:
                 for s2 in pushed.states:
-                    merged = witnesses[s1][0] == witnesses[s2][0]
+                    merged = representatives[s1] == representatives[s2]
                     assert merged == (rows[s1] == rows[s2]), (monoid.kind, s1, s2)
 
 

@@ -36,6 +36,7 @@ from helpers import (
     random_element,
     random_machine,
     standard_monoids,
+    state_eval,
     words_up_to,
 )
 
@@ -385,6 +386,23 @@ def test_iso_check_on_equivalent_pairs():
         for _ in range(6):
             left, right = equivalent_pair(monoid, rng)
             assert iso_check(minimize(left).minimal, minimize(right).minimal) is not None
+
+
+def test_iso_check_pairing_relates_state_functions():
+    """Each ``s₁ ↦ (s₂, χ)`` is a bijection onto the right machine's states
+    with ``s₁`` recognizing ``χ ·`` the function of ``s₂``."""
+    rng = random.Random(43)
+    for monoid in standard_monoids().values():
+        for _ in range(6):
+            left, right = equivalent_pair(monoid, rng)
+            t1, t2 = minimize(left).minimal, minimize(right).minimal
+            pairing = iso_check(t1, t2)
+            assert set(pairing) == set(t1.states), monoid.kind
+            assert sorted(s2 for s2, _ in pairing.values()) == sorted(t2.states), monoid.kind
+            for s1, (s2, chi) in pairing.items():
+                for w in words_up_to(t1.alphabet, 4):
+                    expected = mul_partial(monoid, chi, state_eval(t2, s2, w))
+                    assert state_eval(t1, s1, w) == expected, (monoid.kind, s1, s2, w)
 
 
 def test_iso_check_rejects_each_mismatch():
