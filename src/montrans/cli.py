@@ -70,14 +70,9 @@ def cmd_minimize(args) -> int:
         _write(args.output + ".total.json", staged.total.serialize())
         _write(args.output + ".prefix.json", staged.prefix.serialize())
         unit = machine.monoid.encode(machine.monoid.unit())
+        counts = (len(machine.states), *staged.state_counts())
         report = {
-            "state_counts": {
-                "input": len(machine.states),
-                "reach": len(staged.reach.states),
-                "total": len(staged.total.states),
-                "prefix": len(staged.prefix.states),
-                "minimal": len(staged.minimal.states),
-            },
+            "state_counts": dict(zip(("input", "reach", "total", "prefix", "minimal"), counts)),
             "merges": {
                 s: {"representative": r, "witness": unit} for s, r in staged.representatives.items()
             },

@@ -367,6 +367,7 @@ def learn(
 
     def check_caps() -> None:
         stats.membership_queries = table.queries
+        stats.q_updates, stats.t_updates = len(table.prefixes) - 1, len(table.suffixes) - 1
         if len(table.prefixes) > limits.max_q:
             raise BudgetExceeded(
                 f"prefix set grew past the cap of {limits.max_q}", stats, table
@@ -383,11 +384,7 @@ def learn(
         defect = find_defect(table)
         if defect is not None:
             notify("defect", defect)
-            added = apply_defect(table, defect, membership)
-            if defect.kind is DefectKind.CLOSURE:
-                stats.q_updates += added
-            else:
-                stats.t_updates += added
+            apply_defect(table, defect, membership)
             check_caps()
             continue
         hypothesis = build_hypothesis(table)
@@ -398,5 +395,5 @@ def learn(
             return hypothesis, stats
         word = tuple(verdict.word)
         notify("counterexample", word)
-        stats.q_updates += process_counterexample(table, word, membership)
+        process_counterexample(table, word, membership)
         check_caps()

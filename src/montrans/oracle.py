@@ -1,22 +1,24 @@
 """Oracles for the learner and for cross-validation.
 
 ``membership_oracle`` and ``equivalence_oracle`` wrap a reference machine as
-the two query functions the learner needs; the equivalence oracle drops both
-machines' non-productive states and walks their configuration pairs
+the two query functions the learner needs; the equivalence oracle trims the
+reference and walks its configuration pairs with the hypothesis as built,
 breadth-first, which both proves equivalence and finds the length-lex-first
-counterexample.  Neither machine is minimized: on two equivalent machines
-with productive states a configuration pair's key ``(s₁, s₂, a, b)`` is
-fixed by its state pair, since ``a·β(s₁) = b·β(s₂)`` with ``β`` a state's
-left-gcd and ``lgcd(a, b) = 1``, and in these gcd monoids that coprime pair
-is unique (for a cyclic group it is ``(0, χ)``).  This is the delay argument
-of Béal, Carton, Prieur and Sakarovitch (*Squaring transducers*, 2003).  So
-the walk meets at most one key per state pair, and on machines that differ
-a second key of a state pair, or a one-sided one, shows up within ``n₁·n₂``
-letters and a difference within ``max(n₁, n₂)`` more.  ``iso_check`` reads
-its pairing of two minimal machines off the same walk: they are isomorphic
-exactly when they are equivalent.  ``brute_force_diff`` is the dumb
-word-enumeration oracle used to validate everything else: an unpruned walk
-over all words that carries both machines' configurations.
+counterexample.  Neither machine is minimized: on two equivalent machines a
+pair of productive states fixes its configurations' key ``(s₁, s₂, a, b)``,
+since ``a·β(s₁) = b·β(s₂)`` with ``β`` a state's left-gcd and
+``lgcd(a, b) = 1``, and in these gcd monoids that coprime pair is unique (for
+a cyclic group it is ``(0, χ)``).  This is the delay argument of Béal,
+Carton, Prieur and Sakarovitch (*Squaring transducers*, 2003).  Only the
+first machine need be trim: a non-productive second state then shows a
+difference within ``n₁`` letters or is paired with ``⊥``, one key per state.
+So the walk meets at most one key per state pair, and on machines that
+differ a second key of a state pair, or a one-sided one, shows up within
+``n₁·n₂`` letters and a difference within ``max(n₁, n₂)`` more.
+``iso_check`` reads its pairing of two minimal machines off the same walk:
+they are isomorphic exactly when they are equivalent.  ``brute_force_diff``
+is the dumb word-enumeration oracle used to validate everything else: an
+unpruned walk over all words that carries both machines' configurations.
 ``adversarial_oracle`` answers membership queries with free-monoid
 representatives chosen so that a free-monoid learning run never converges.
 """
@@ -102,15 +104,15 @@ def _config_key(m, c1, c2):
     return (c1[1], c2[1], m.left_divide(g, c1[0]), m.left_divide(g, c2[0]))
 
 
-def _walk(t1: Transducer, t2: Transducer, max_len: int) -> tuple[Optional[Word], dict]:
-    """Length-lex-first word where evaluations differ (``None`` when the
+def _walk(t1: Transducer, t2: Transducer, max_len: int) -> tuple[EquivalenceVerdict, dict]:
+    """Length-lex-first counterexample, with both values (``None`` when the
     machines are equivalent), and the :func:`_config_key` keys met, in order.
 
     A breadth-first walk over configuration pairs, pruned up to their keys;
     ``None`` means every pair was explored without a difference.  Raises
     :class:`SearchBoundExceeded` when no difference is found up to length
-    ``max_len`` but an unexplored pair lies beyond it.  On trim machines that
-    are equivalent the walk always runs out of pairs.
+    ``max_len`` but an unexplored pair lies beyond it.  When ``t1`` is trim,
+    the walk on equivalent machines always runs out of pairs.
     """
     m = t1.monoid
     seen = dict.fromkeys([_config_key(m, t1.initial, t2.initial)])
@@ -118,8 +120,9 @@ def _walk(t1: Transducer, t2: Transducer, max_len: int) -> tuple[Optional[Word],
     truncated = False
     while frontier:
         w, c1, c2 = frontier.popleft()
-        if _value(t1, c1) != _value(t2, c2):
-            return w, seen
+        v1, v2 = _value(t1, c1), _value(t2, c2)
+        if v1 != v2:
+            return CounterExample(w, v1, v2), seen
         for a in t1.alphabet:
             n1, n2 = _step(t1, c1, a), _step(t2, c2, a)
             if n1 is None and n2 is None:
@@ -137,38 +140,27 @@ def _walk(t1: Transducer, t2: Transducer, max_len: int) -> tuple[Optional[Word],
     return None, seen
 
 
-def _first_difference(t1: Transducer, t2: Transducer, max_len: int) -> Optional[Word]:
-    """Length-lex-first word where evaluations differ, or ``None`` when the
-    machines are equivalent; see :func:`_walk`."""
-    return _walk(t1, t2, max_len)[0]
-
-
 def equivalence_oracle(reference: Transducer) -> Callable[[Transducer], EquivalenceVerdict]:
     """Exact equivalence with counterexample extraction.
 
-    The reference is trimmed once, when the oracle is built, and each call
-    trims the hypothesis: ``total`` drops non-productive states (and keeps a
-    machine without any as it is), and unreachable ones never enter the walk
-    of :func:`_first_difference`, which starts at the initial pair.  The
+    The reference is trimmed once, when the oracle is built: ``total`` drops
+    its non-productive states (and keeps a machine without any as it is).
+    Each hypothesis is walked as built by :func:`_walk`; its unreachable
+    states never enter the walk, which starts at the initial pair.  The
     hypothesis is accepted when the walk runs out of pairs; otherwise the
     first differing word in length-lex order is returned with both values.
 
-    The walk's bound ``(n₁+1)(n₂+1)`` counts the trimmed states, reachable
-    or not, so it exceeds the number of state pairs and the length at which
-    machines that differ show it (see the module docstring).  The first
-    differing word depends only on the two recognized functions, so the
-    verdict is the one on the two minimal machines.
+    The walk's bound ``(n₁+1)(n₂+1)`` exceeds the number of state pairs and
+    the length at which machines that differ show it (see the module
+    docstring).  The first differing word depends only on the two recognized
+    functions, so the verdict is the one on the two minimal machines.
     """
     ref = total(reference)
 
     def oracle(hypothesis: Transducer) -> EquivalenceVerdict:
         _require_comparable(reference, hypothesis)
-        trimmed = total(hypothesis)
-        bound = (len(ref.states) + 1) * (len(trimmed.states) + 1)
-        word = _first_difference(ref, trimmed, bound)
-        if word is None:
-            return None
-        return CounterExample(word, reference.eval(word), hypothesis.eval(word))
+        bound = (len(ref.states) + 1) * (len(hypothesis.states) + 1)
+        return _walk(ref, hypothesis, bound)[0]
 
     return oracle
 
@@ -190,8 +182,8 @@ def iso_check(t1: Transducer, t2: Transducer) -> Optional[dict[str, tuple[str, E
         return None
     if not check_minimal(t1) or not check_minimal(t2):
         raise NotMinimalInput("iso_check requires minimal machines")
-    word, seen = _walk(t1, t2, (len(t1.states) + 1) * (len(t2.states) + 1))
-    if word is not None:
+    verdict, seen = _walk(t1, t2, (len(t1.states) + 1) * (len(t2.states) + 1))
+    if verdict is not None:
         return None
     m = t1.monoid
     seen.pop(None, None)  # the key of two empty machines

@@ -59,6 +59,10 @@ class Transducer:
             raise ValueError("duplicate state ids")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate alphabet letters")
+        if any(not isinstance(a, str) or not a or SEP in a for a in self.alphabet):
+            raise ValueError(f"letters must be non-empty strings without {SEP!r}")
+        if any(not isinstance(s, str) or not s for s in self.states):
+            raise ValueError("state ids must be non-empty strings")
         if self.initial is not None and self.initial[1] not in state_set:
             raise ValueError(f"initial state {self.initial[1]!r} is not declared")
         term = {s: self.termination.get(s) for s in self.states}
@@ -178,17 +182,18 @@ class Transducer:
             t = self.termination[s]
             label = s if t is None else f"{s} / {m.render(t)}"
             shape = "" if t is None else ", shape=doublecircle"
-            lines.append(f'  "{s}" [label="{label}"{shape}];')
+            lines.append(f"  {_dot_quote(s)} [label={_dot_quote(label)}{shape}];")
         if self.initial is not None:
             value, s0 = self.initial
             lines.append('  "__start__" [shape=point, label=""];')
-            lines.append(f'  "__start__" -> "{s0}" [label="{m.render(value)}"];')
+            lines.append(f'  "__start__" -> {_dot_quote(s0)} [label={_dot_quote(m.render(value))}];')
         for s in self.states:
             for a in self.alphabet:
                 step = self.transitions.get((s, a))
                 if step is not None:
                     out, target = step
-                    lines.append(f'  "{s}" -> "{target}" [label="{a} / {m.render(out)}"];')
+                    label = _dot_quote(f"{a} / {m.render(out)}")
+                    lines.append(f"  {_dot_quote(s)} -> {_dot_quote(target)} [label={label}];")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -197,6 +202,11 @@ class Transducer:
 
     def __repr__(self):
         return f"Transducer({len(self.states)} states, {self.monoid.kind})"
+
+
+def _dot_quote(text: str) -> str:
+    """``text`` as a double-quoted Graphviz id, with ``"`` and ``\\`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _assemble(monoid, alphabet, states, initial, termination, transitions) -> Transducer:

@@ -17,7 +17,7 @@ from montrans import (
     minimize,
     state_lgcds,
 )
-from montrans.oracle import _first_difference
+from montrans.oracle import _walk
 
 from helpers import learning_target, standard_monoids
 
@@ -60,8 +60,13 @@ def test_first_difference_respects_length_bound():
     first = brute_force_diff(target, changed, 4)
     assert first == ("b", "a")
     with pytest.raises(SearchBoundExceeded):  # a walk cut short is not a verdict
-        _first_difference(target, changed, 1)
-    assert _first_difference(target, changed, 4) == first
+        _walk(target, changed, 1)
+    verdict, _ = _walk(target, changed, 4)
+    assert (verdict.word, verdict.left_value, verdict.right_value) == (
+        first,
+        target.eval(first),
+        changed.eval(first),
+    )
 
 
 def test_learn_with_multi_character_letters():

@@ -35,6 +35,7 @@ from helpers import (
     load_machine,
     random_element,
     random_machine,
+    rank_one,
     standard_monoids,
     state_eval,
     words_up_to,
@@ -140,13 +141,13 @@ def test_equivalence_oracle_examples():
     )
     loop_oracle = equivalence_oracle(beta_loop("commutative"))
     assert loop_oracle(load_machine("beta_loop_minimal_commutative.json")) is None
-    assert loop_oracle(beta_loop("commutative")) is None  # not trim: walked once trimmed
+    assert loop_oracle(beta_loop("commutative")) is None  # not trim: walked as built
 
 
 def test_equivalence_oracle_never_minimizes(monkeypatch, tmp_path):
-    """A learning run and a CLI equivalence query trim both machines and walk
-    them; no stage of ``minimize`` runs (``state_lgcds`` is its pushing
-    stage's fixpoint)."""
+    """A learning run and a CLI equivalence query trim the reference and walk
+    it with the other machine; no stage of ``minimize`` runs (``state_lgcds``
+    is its pushing stage's fixpoint)."""
     calls = []
     stages = importlib.import_module("montrans.minimize")  # the package exports a same-named function
     real = stages.state_lgcds
@@ -179,6 +180,18 @@ def test_equivalence_oracle_makes_no_structural_check(monkeypatch):
     assert calls == []
 
 
+def test_equivalence_oracle_trims_only_the_reference(monkeypatch):
+    """A learning run scans for productive states once, when the oracle trims
+    the reference; each hypothesis is walked as built."""
+    calls = []
+    real = Transducer.productive_states
+    monkeypatch.setattr(Transducer, "productive_states", lambda self: calls.append(self) or real(self))
+    target = learning_target()
+    _, stats = learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    assert stats.equivalence_queries == 2
+    assert len(calls) == 1 and calls[0] is target
+
+
 def test_equivalence_oracle_matches_brute_force():
     rng = random.Random(5003)
     pairs = [group_scaling_pair(), group_scaling_pair()[::-1]]
@@ -209,6 +222,43 @@ def test_equivalence_oracle_matches_brute_force():
     assert verdicts.count(True) > 2 and verdicts.count(False) > 2
 
 
+def _graft_sink(t: Transducer, rng: random.Random, reroute: bool) -> Transducer:
+    """``t`` with a non-productive sink that writes a generator on every
+    letter.  Each missing transition of a reachable state goes into the sink,
+    which keeps the function; with ``reroute`` one defined transition does
+    too, which changes it unless that transition's target recognizes ``⊥``."""
+    gen, reachable = rank_one(t.monoid, 0), t.reachable_states()
+    into = [(s, a) for s in reachable for a in t.alphabet if (s, a) not in t.transitions]
+    defined = sorted(k for k in t.transitions if k[0] in reachable)
+    if reroute and defined:
+        into.append(rng.choice(defined))
+    transitions = {**t.transitions, **{k: (gen, "sink") for k in into}}
+    transitions.update({("sink", a): (gen, "sink") for a in t.alphabet})
+    return replace(t, states=t.states + ("sink",), transitions=transitions)
+
+
+def test_equivalence_oracle_walks_non_productive_hypothesis_states():
+    """A reachable non-productive state changes no verdict, whether the
+    oracle trims it from the reference or walks it in the hypothesis."""
+    rng = random.Random(5039)
+    verdicts, sinks = [], 0
+    for monoid in standard_monoids().values():
+        for _ in range(6):
+            left, right = equivalent_pair(monoid, rng)
+            for grafted in (_graft_sink(right, rng, False), _graft_sink(right, rng, True)):
+                sinks += "sink" in grafted.reachable_states()
+                for t1, t2 in ((left, grafted), (grafted, left)):
+                    verdict = equivalence_oracle(t1)(t2)
+                    word = None if verdict is None else verdict.word
+                    assert word == brute_force_diff(t1, t2, 6), (t1, t2)
+                    if verdict is not None:
+                        assert verdict.left_value == t1.eval(word)
+                        assert verdict.right_value == t2.eval(word)
+                    verdicts.append(verdict is None)
+    assert sinks > 40
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
+
 def _trace_order_pair() -> tuple[Transducer, Transducer]:
     """Equivalent trace-monoid machines whose start states' left-gcds are
     built as α·β on the left and as β·α on the right: the left one writes α
@@ -236,7 +286,8 @@ def _verdict_on_minimal(left: Transducer, right: Transducer):
     """The oracle's verdict as walked on the two minimal machines."""
     min_left, min_right = minimize(left).minimal, minimize(right).minimal
     bound = (len(min_left.states) + 1) * (len(min_right.states) + 1)
-    word = montrans.oracle._first_difference(min_left, min_right, bound)
+    verdict = montrans.oracle._walk(min_left, min_right, bound)[0]
+    word = None if verdict is None else verdict.word
     return None if word is None else (word, min_left.eval(word), min_right.eval(word))
 
 
@@ -300,7 +351,8 @@ def test_equivalence_oracle_on_learner_hypotheses_needs_no_minimization():
             assert check_minimal(h)
             min_h = minimize(h).minimal
             bound = (len(min_ref.states) + 1) * (len(min_h.states) + 1)
-            word = montrans.oracle._first_difference(min_ref, min_h, bound)
+            walked = montrans.oracle._walk(min_ref, min_h, bound)[0]
+            word = None if walked is None else walked.word
             expected = None if word is None else (word, target.eval(word), h.eval(word))
             verdict = oracle(h)
             got = None if verdict is None else (verdict.word, verdict.left_value, verdict.right_value)

@@ -6,6 +6,7 @@ import copy
 import importlib
 import json
 import random
+import re
 import warnings
 from collections import Counter
 
@@ -182,17 +183,22 @@ def test_construction_validation(machine):
     trace = standard_monoids()["trace"]
     unit, odd = trace.unit(), ("β", "α")  # α·β = β·α, so the normal form is α·β
     ok = dict(monoid=trace, alphabet=("a",), states=("s",), initial=(unit, "s"), termination={"s": unit})
-    cases = {
-        "duplicate alphabet letters": dict(alphabet=("a", "a")),
-        "termination references unknown state 't'": dict(termination={"t": unit}),
-        "transition from unknown state 't'": dict(transitions={("t", "a"): (unit, "s")}),
-        "transition into unknown state 't'": dict(transitions={("s", "a"): (unit, "t")}),
-        "non-canonical termination value on 's'": dict(termination={"s": odd}),
-        "non-canonical output on 's' --a-->": dict(transitions={("s", "a"): (odd, "s")}),
-        "non-canonical initial value": dict(initial=(odd, "s")),
-    }
-    Transducer(**ok)
-    for message, change in cases.items():
+    cases = [
+        ("duplicate alphabet letters", dict(alphabet=("a", "a"))),
+        ("letters must be non-empty strings without '·'", dict(alphabet=("",))),
+        ("letters must be non-empty strings without '·'", dict(alphabet=("a·b",))),
+        ("state ids must be non-empty strings", dict(states=("s", ""))),
+        ("state ids must be non-empty strings", dict(states=("s", 1))),
+        ("termination references unknown state 't'", dict(termination={"t": unit})),
+        ("transition from unknown state 't'", dict(transitions={("t", "a"): (unit, "s")})),
+        ("transition into unknown state 't'", dict(transitions={("s", "a"): (unit, "t")})),
+        ("non-canonical termination value on 's'", dict(termination={"s": odd})),
+        ("non-canonical output on 's' --a-->", dict(transitions={("s", "a"): (odd, "s")})),
+        ("non-canonical initial value", dict(initial=(odd, "s"))),
+    ]
+    accepted = Transducer(**ok)
+    assert deserialize(accepted.serialize()) == accepted
+    for message, change in cases:
         with pytest.raises(ValueError) as info:
             Transducer(**{**ok, **change})
         assert str(info.value) == message
@@ -340,6 +346,29 @@ def test_to_dot(machine):
 def test_to_dot_golden(machine):
     expected = (DATA / "beta_loop_free.dot").read_text(encoding="utf-8")
     assert machine.to_dot() == expected
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    """Ids and labels holding ``"`` or ``\\`` are escaped, so every quoted
+    string in every statement ends where DOT reads it to end."""
+    free = standard_monoids()["free"]
+    p = free.parse
+    odd = Transducer(
+        monoid=free,
+        alphabet=("a", '"'),
+        states=('q"1', "q\\2"),
+        initial=(p("α"), 'q"1'),
+        termination={'q"1': p("β"), "q\\2": None},
+        transitions={('q"1', '"'): (p("γ"), "q\\2"), ("q\\2", "a"): (p("α"), 'q"1')},
+    )
+    assert deserialize(odd.serialize()) == odd
+    dot = odd.to_dot()
+    assert '  "q\\"1" -> "q\\\\2" [label="\\" / γ"];' in dot.splitlines()
+    quoted = r'"(?:[^"\\]|\\.)*"'
+    value = rf"(?:{quoted}|\w+)"
+    statement = re.compile(rf" *{quoted}(?: -> {quoted})? \[\w+={value}(?:, \w+={value})*\];")
+    body = dot.splitlines()[3:-1]
+    assert len(body) == 6 and all(statement.fullmatch(line) for line in body), dot
 
 
 def test_to_dot_empty_machine():
