@@ -7,6 +7,8 @@ isomorphism oracles (``montrans.oracle``), an active learner
 (``montrans.learner``) and a command-line interface (``montrans.cli``).
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -68,61 +70,7 @@ from .oracle import (
 )
 from .transducer import Transducer, Word, deserialize, parse_word, render_word
 
-__all__ = [
-    "BudgetExceeded",
-    "CommutativeMonoid",
-    "CounterExample",
-    "CyclicGroup",
-    "Defect",
-    "DefectKind",
-    "FreeMonoid",
-    "InternalInconsistency",
-    "IterationBudgetExceeded",
-    "LearnLimits",
-    "LearnStats",
-    "MalformedElement",
-    "Monoid",
-    "MontransError",
-    "NatAddMonoid",
-    "NotDivisible",
-    "NotInvertible",
-    "NotMinimalInput",
-    "ObservationTable",
-    "SchemaError",
-    "SearchBoundExceeded",
-    "StagedMinimization",
-    "TraceMonoid",
-    "Transducer",
-    "UnknownGenerator",
-    "UnknownLetter",
-    "Word",
-    "adversarial_oracle",
-    "apply_defect",
-    "brute_force_diff",
-    "build_hypothesis",
-    "check_minimal",
-    "deserialize",
-    "equivalence_oracle",
-    "find_defect",
-    "iso_check",
-    "learn",
-    "left_divide_partial",
-    "lgcd_family",
-    "make_monoid",
-    "membership_oracle",
-    "minimize",
-    "monoid_from_wire",
-    "mul_partial",
-    "observe",
-    "parse_word",
-    "prefix",
-    "process_counterexample",
-    "reach",
-    "red_row",
-    "render_partial",
-    "render_word",
-    "state_lgcds",
-    "total",
-]
+#: Every public name bound above; submodules stay out of ``import *``.
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType))
 
 __version__ = "0.1.0"

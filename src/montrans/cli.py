@@ -24,10 +24,10 @@ from .minimize import minimize
 from .monoid import FreeMonoid, TraceMonoid, render_partial
 from .oracle import (
     ADVERSARY_GENERATORS,
-    CounterExample,
     adversarial_oracle,
     brute_force_diff,
     equivalence_oracle,
+    membership_oracle,
 )
 from .transducer import Transducer, deserialize, parse_word, render_word
 
@@ -94,7 +94,7 @@ def cmd_learn(args) -> int:
         machine, stats = learn(
             target.monoid,
             target.alphabet,
-            target.eval,
+            membership_oracle(target),
             equivalence_oracle(target),
             limits,
         )
@@ -121,8 +121,7 @@ def cmd_equiv(args) -> int:
     if args.max_len is None:
         verdict = equivalence_oracle(left)(right)
     else:
-        word = brute_force_diff(left, right, args.max_len)
-        verdict = None if word is None else CounterExample(word, left.eval(word), right.eval(word))
+        verdict = brute_force_diff(left, right, args.max_len)
     if verdict is None:
         print("equivalent")
         return 0
@@ -216,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--stats", action="store_true", help="print query statistics as JSON")
-    p.add_argument("--cap", type=int, default=1000, help="prefix-set size cap (default 1000)")
-    p.add_argument("--max-iterations", type=int, default=10_000)
+    p.add_argument("--cap", type=int, default=LearnLimits.max_q, help="prefix-set size cap (default %(default)s)")
+    p.add_argument("--max-iterations", type=int, default=LearnLimits.max_iterations)
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=lambda args: cmd_learn(args))
 

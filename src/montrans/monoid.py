@@ -528,7 +528,15 @@ class CyclicGroup(_NumberMonoid):
         return {"kind": self.kind, "modulus": self.modulus}
 
 
-KINDS = ("free", "trace", "commutative", "nat-add", "cyclic-group")
+#: Each monoid kind with the wire fields it takes besides ``kind``.
+FIELDS = {
+    "free": ("generators",),
+    "trace": ("generators", "commutations"),
+    "commutative": ("generators",),
+    "nat-add": (),
+    "cyclic-group": ("modulus",),
+}
+KINDS = tuple(FIELDS)
 
 
 def make_monoid(
@@ -558,33 +566,22 @@ def monoid_from_wire(doc, path: str = "monoid") -> Monoid:
     if not isinstance(doc, dict):
         raise SchemaError(path, f"expected an object, got {doc!r}")
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if kind not in KINDS:  # a tuple test, as a malformed kind may be unhashable
         raise SchemaError(f"{path}.kind", f"unknown monoid kind {kind!r}")
-    allowed = {"kind"}
-    if kind in ("free", "trace", "commutative"):
-        allowed.add("generators")
-    if kind == "trace":
-        allowed.add("commutations")
-    if kind == "cyclic-group":
-        allowed.add("modulus")
     for key in doc:
-        if key not in allowed:
+        if key != "kind" and key not in FIELDS[kind]:
             raise SchemaError(f"{path}.{key}", f"unexpected field for kind {kind!r}")
+    # A field the kind does not take is absent here, so its default passes.
     generators = doc.get("generators", [])
     if not isinstance(generators, list):
         raise SchemaError(f"{path}.generators", f"expected a list of names, got {generators!r}")
+    pairs = doc.get("commutations", [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(g, str) for g in p) for p in pairs
+    ):
+        raise SchemaError(f"{path}.commutations", "expected a list of generator pairs")
     try:
-        if kind == "trace":
-            raw = doc.get("commutations", [])
-            if not isinstance(raw, list) or not all(
-                isinstance(p, list) and len(p) == 2 and all(isinstance(g, str) for g in p)
-                for p in raw
-            ):
-                raise SchemaError(f"{path}.commutations", "expected a list of generator pairs")
-            return make_monoid(kind, generators, [tuple(p) for p in raw])
-        if kind == "cyclic-group":
-            return make_monoid(kind, modulus=doc.get("modulus"))
-        return make_monoid(kind, generators)
+        return make_monoid(kind, generators, [tuple(p) for p in pairs], doc.get("modulus"))
     except (ValueError, UnknownGenerator) as exc:
         raise SchemaError(path, str(exc)) from None
 

@@ -74,16 +74,17 @@ def _require_comparable(t1: Transducer, t2: Transducer) -> None:
         raise ValueError("the machines use different monoids or input alphabets")
 
 
-def brute_force_diff(t1: Transducer, t2: Transducer, max_len: int) -> Optional[Word]:
+def brute_force_diff(t1: Transducer, t2: Transducer, max_len: int) -> EquivalenceVerdict:
     """First word (length-lex order) up to ``max_len`` where evaluations
-    differ, or ``None``.  Pure enumeration: every word is visited, so it can
-    serve as the independent oracle for the clever paths."""
+    differ, with both values, or ``None``.  Pure enumeration: every word is
+    visited, so it can serve as the independent oracle for the clever paths."""
     _require_comparable(t1, t2)
     frontier: deque[tuple[Word, object, object]] = deque([((), t1.initial, t2.initial)])
     while frontier:
         w, c1, c2 = frontier.popleft()
-        if _value(t1, c1) != _value(t2, c2):
-            return w
+        v1, v2 = _value(t1, c1), _value(t2, c2)
+        if v1 != v2:
+            return CounterExample(w, v1, v2)
         if len(w) < max_len:
             frontier.extend((w + (a,), _step(t1, c1, a), _step(t2, c2, a)) for a in t1.alphabet)
     return None

@@ -174,7 +174,8 @@ class Transducer:
 
         Termination values appear in node labels (``⊥`` omitted), edges carry
         ``letter / output`` and the initial state gets an entry arrow labeled
-        with the initial value.
+        with the initial value, from a point node ``__start__`` (wrapped in
+        ``_…_`` until no state has that id).
         """
         m = self.monoid
         lines = ["digraph transducer {", "  rankdir=LR;", '  node [shape=circle];']
@@ -185,8 +186,11 @@ class Transducer:
             lines.append(f"  {_dot_quote(s)} [label={_dot_quote(label)}{shape}];")
         if self.initial is not None:
             value, s0 = self.initial
-            lines.append('  "__start__" [shape=point, label=""];')
-            lines.append(f'  "__start__" -> {_dot_quote(s0)} [label={_dot_quote(m.render(value))}];')
+            entry = "__start__"
+            while entry in self.states:
+                entry = f"_{entry}_"
+            lines.append(f'  {_dot_quote(entry)} [shape=point, label=""];')
+            lines.append(f"  {_dot_quote(entry)} -> {_dot_quote(s0)} [label={_dot_quote(m.render(value))}];")
         for s in self.states:
             for a in self.alphabet:
                 step = self.transitions.get((s, a))

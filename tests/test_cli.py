@@ -11,7 +11,15 @@ from pathlib import Path
 import pytest
 
 import montrans.cli
-from montrans import FreeMonoid, Transducer, check_minimal, deserialize, iso_check, minimize
+from montrans import (
+    FreeMonoid,
+    LearnLimits,
+    Transducer,
+    check_minimal,
+    deserialize,
+    iso_check,
+    minimize,
+)
 from montrans.cli import main
 
 from helpers import DATA, learning_target, load_machine
@@ -65,6 +73,16 @@ def test_eval_malformed_monoid_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["eval", "--machine", str(bad), "b"]) == 2
     assert "monoid.generators" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["ε", "⊥", "α·β"])
+def test_eval_reserved_generator_exits_2(tmp_path, capsys, name):
+    doc = json.loads(load_machine("beta_loop_free.json").serialize())
+    doc["monoid"]["generators"].append(name)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["eval", "--machine", str(bad), "b"]) == 2
+    assert capsys.readouterr().err.startswith("error: $.monoid: reserved or separator-bearing")
 
 
 def test_eval_separator_in_letter_exits_2(tmp_path, capsys):
@@ -156,6 +174,11 @@ def test_learn_commutative_loop_gives_single_state(tmp_path):
     learned = deserialize(out.read_text(encoding="utf-8"))
     assert len(learned.states) == 1
     assert iso_check(learned, load_machine("beta_loop_minimal_commutative.json")) is not None
+
+
+def test_learn_defaults_are_the_library_limits():
+    args = montrans.cli.build_parser().parse_args(["learn", "--target", TARGET, "-o", "out.json"])
+    assert LearnLimits(max_q=args.cap, max_iterations=args.max_iterations) == LearnLimits()
 
 
 def test_learn_budget_exceeded_exits_4(tmp_path, capsys):

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from montrans import (
+    CommutativeMonoid,
     CyclicGroup,
+    FreeMonoid,
     MalformedElement,
     NotDivisible,
     NotInvertible,
@@ -50,6 +52,10 @@ def test_make_monoid_rejects_bad_specs():
         make_monoid("cyclic-group", modulus=0)
     with pytest.raises(ValueError):
         make_monoid("tropical")
+    for name in ("ε", "⊥", "α·β"):
+        for make in (FreeMonoid, CommutativeMonoid, lambda gens: TraceMonoid(gens, ())):
+            with pytest.raises(ValueError, match="reserved or separator-bearing"):
+                make(("α", name))
 
 
 def test_monoid_wire_round_trip(monoid):

@@ -10,6 +10,7 @@ import pytest
 
 import montrans.oracle
 from montrans import (
+    CounterExample,
     CyclicGroup,
     NotMinimalInput,
     TraceMonoid,
@@ -58,8 +59,9 @@ def test_brute_force_diff_examples():
     assert brute_force_diff(commutative_loop, minimal, 6) is None
     target = learning_target()
     hypothesis = load_machine("first_hypothesis_free.json")
+    p = target.monoid.parse
     assert brute_force_diff(target, hypothesis, 1) is None  # differs only at length 2
-    assert brute_force_diff(target, hypothesis, 2) == ("b", "b")
+    assert brute_force_diff(target, hypothesis, 2) == CounterExample(("b", "b"), None, p("α·α·α"))
     assert brute_force_diff(target, target, 5) is None
 
 
@@ -122,10 +124,15 @@ def test_brute_force_diff_matches_eval():
     for left, right in pairs:
         for k in (0, 1, 2, 4):
             expected = next(
-                (w for w in words_up_to(left.alphabet, k) if left.eval(w) != right.eval(w)), None
+                (
+                    CounterExample(w, left.eval(w), right.eval(w))
+                    for w in words_up_to(left.alphabet, k)
+                    if left.eval(w) != right.eval(w)
+                ),
+                None,
             )
             assert brute_force_diff(left, right, k) == expected, (left, right, k)
-            lengths.add(None if expected is None else len(expected))
+            lengths.add(None if expected is None else len(expected.word))
     assert {None, 0, 1, 2} <= lengths
 
 
@@ -214,7 +221,7 @@ def test_equivalence_oracle_matches_brute_force():
             bound = len(min_left.states) + len(min_right.states) + 2
             assert brute_force_diff(left, right, bound) is None
         else:
-            assert brute_force_diff(left, right, len(verdict.word)) == verdict.word
+            assert brute_force_diff(left, right, len(verdict.word)) == verdict
             assert verdict.left_value == left.eval(verdict.word)
             assert verdict.right_value == right.eval(verdict.word)
         verdicts.append(verdict is None)
@@ -249,11 +256,10 @@ def test_equivalence_oracle_walks_non_productive_hypothesis_states():
                 sinks += "sink" in grafted.reachable_states()
                 for t1, t2 in ((left, grafted), (grafted, left)):
                     verdict = equivalence_oracle(t1)(t2)
-                    word = None if verdict is None else verdict.word
-                    assert word == brute_force_diff(t1, t2, 6), (t1, t2)
+                    assert verdict == brute_force_diff(t1, t2, 6), (t1, t2)
                     if verdict is not None:
-                        assert verdict.left_value == t1.eval(word)
-                        assert verdict.right_value == t2.eval(word)
+                        assert verdict.left_value == t1.eval(verdict.word)
+                        assert verdict.right_value == t2.eval(verdict.word)
                     verdicts.append(verdict is None)
     assert sinks > 40
     assert verdicts.count(True) > 20 and verdicts.count(False) > 20

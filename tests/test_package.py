@@ -1,0 +1,71 @@
+"""The package surface: what ``from montrans import *`` binds, checked
+against the names the tests and the README import, not against a copy of
+the list."""
+
+from __future__ import annotations
+
+import ast
+import inspect
+import re
+from pathlib import Path
+from types import ModuleType
+
+import montrans
+import montrans.errors
+from montrans import equivalence_oracle, learn, membership_oracle, minimize
+
+from helpers import learning_target
+
+ROOT = Path(__file__).parents[1]
+
+
+def _names_imported_from_montrans(source: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "montrans" and node.level == 0
+        for alias in node.names
+    }
+
+
+def test_star_import_binds_all_and_no_module():
+    namespace: dict = {}
+    exec("from montrans import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(montrans.__all__)
+    assert not [name for name, value in namespace.items() if isinstance(value, ModuleType)]
+
+
+def test_names_the_tests_and_readme_import_are_public():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(Path(__file__).parent.glob("*.py"))]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources += re.findall(r"```python\n(.*?)```", readme, re.S)
+    imported = set().union(*map(_names_imported_from_montrans, sources))
+    assert {"Transducer", "learn", "membership_oracle"} <= imported
+    assert imported <= set(montrans.__all__)
+
+
+def test_every_error_class_is_public():
+    errors = {
+        name
+        for name, value in vars(montrans.errors).items()
+        if inspect.isclass(value) and issubclass(value, Exception) and value.__module__ == "montrans.errors"
+    }
+    assert "MontransError" in errors
+    assert errors <= set(montrans.__all__)
+
+
+def test_returned_types_are_the_public_names():
+    target = learning_target()
+    events = []
+    machine, stats = learn(
+        target.monoid,
+        target.alphabet,
+        membership_oracle(target),
+        equivalence_oracle(target),
+        observer=lambda kind, payload: events.append((kind, payload)),
+    )
+    assert type(stats) is montrans.LearnStats
+    assert type(minimize(machine)) is montrans.StagedMinimization
+    defects = [payload for kind, payload in events if kind == "defect"]
+    assert defects and all(type(d) is montrans.Defect for d in defects)

@@ -371,6 +371,24 @@ def test_to_dot_escapes_quotes_and_backslashes():
     assert len(body) == 6 and all(statement.fullmatch(line) for line in body), dot
 
 
+def test_to_dot_entry_node_avoids_state_ids():
+    """A state named ``__start__`` keeps its own node; the entry point takes
+    the next free name ``___start___``."""
+    free = standard_monoids()["free"]
+    one = Transducer(
+        monoid=free,
+        alphabet=("a",),
+        states=("__start__",),
+        initial=(free.unit(), "__start__"),
+        termination={"__start__": free.unit()},
+    )
+    lines = one.to_dot().splitlines()
+    assert '  "__start__" [label="__start__ / ε", shape=doublecircle];' in lines
+    assert '  "___start___" [shape=point, label=""];' in lines
+    assert '  "___start___" -> "__start__" [label="ε"];' in lines
+    assert '  "__start__" -> "__start__" [label="ε"];' not in lines
+
+
 def test_to_dot_empty_machine():
     m = standard_monoids()["free"]
     empty = Transducer(monoid=m, alphabet=("a",), states=(), initial=None, termination={})
