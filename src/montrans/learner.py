@@ -285,11 +285,10 @@ def apply_defect(table: ObservationTable, defect: Defect, membership: Membership
 
 
 def _state_ids(words: list[Word], alphabet: tuple[str, ...]) -> dict[Word, str]:
-    single = all(len(a) == 1 for a in alphabet)
     ids: dict[Word, str] = {}
     used: set[str] = set()
     for w in words:
-        base = "e" if not w else ("".join(w) if single else "·".join(w))
+        base = render_word(w, alphabet) if w else "e"
         while base in used:
             base = f"⟨{base}⟩"
         ids[w] = base

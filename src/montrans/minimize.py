@@ -105,20 +105,14 @@ def state_lgcds(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> di
                     out, target = step
                     row.append(mul_partial(m, out, current[target]))
             nxt[s] = lgcd_family(m, row)
-        stable = True
-        for s in t.states:
-            old, new = current[s], nxt[s]
-            if old is None and new is None:
-                continue
-            if (old is None) != (new is None):
-                stable = False
-                break
-            if not (m.divides(new, old) and m.is_invertible(m.left_divide(new, old))):
-                stable = False
-                break
+        # Definedness only grows and, by induction, each value left-divides the last round's.
+        if all(
+            (current[s] is None) == (nxt[s] is None)
+            and (nxt[s] is None or m.is_invertible(m.left_divide(nxt[s], current[s])))
+            for s in t.states
+        ):
+            return nxt
         current = nxt
-        if stable:
-            return current
     raise IterationBudgetExceeded(
         f"state left-gcds did not stabilize within {iteration_cap} rounds"
     )

@@ -17,7 +17,6 @@ multiplication and left-gcds, and ``left_divide(d, None) is None``.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import (
@@ -234,8 +233,7 @@ class TraceMonoid(_WordMonoid):
     def __init__(self, generators: Sequence[str], commutations: Iterable[tuple[str, str]]):
         super().__init__(generators)
         pairs = set()
-        for pair in commutations:
-            a, b = pair
+        for a, b in commutations:
             for g in (a, b):
                 if g not in self._index:
                     raise ValueError(f"commutation references undeclared generator {g!r}")
@@ -248,16 +246,29 @@ class TraceMonoid(_WordMonoid):
             g: frozenset(h for pair in pairs if g in pair for h in pair if h != g)
             for g in self.generators
         }
-        #: Each generator mapped to the other generators it does not commute with.
-        self._dependent = {
-            g: tuple(h for h in self.generators if h != g and h not in self._commuting[g])
-            for g in self.generators
-        }
 
     def independent(self, a: str, b: str) -> bool:
         return b in self._commuting.get(a, ())
 
-    def _extract_index(self, seq: list[str], g: str) -> Optional[int]:
+    def _normalize(self, seq: Sequence[str], word: Sequence[str] = ()) -> tuple[str, ...]:
+        """Lexicographic normal form of ``word·seq``, where ``word`` is normal:
+        each letter ``c`` of ``seq`` goes just before the first letter larger
+        than ``c`` in the longest suffix of letters commuting with ``c``, or at
+        the end.  No factor ``b·u·a`` with ``a < b`` and ``a`` commuting with
+        ``b·u`` (Anisimov-Knuth) can then end at ``c``; one starting at ``c``
+        or passing over it would already be a factor of the word before."""
+        out, index = list(word), self._index
+        for c in seq:
+            commuting, rank = self._commuting[c], index[c]
+            i = at = len(out)
+            while i and out[i - 1] in commuting:
+                i -= 1
+                if index[out[i]] > rank:
+                    at = i
+            out.insert(at, c)
+        return tuple(out)
+
+    def _front_index(self, seq: list[str], g: str) -> Optional[int]:
         # g can be pulled to the front iff everything before its first
         # occurrence commutes with it.
         commuting = self._commuting[g]
@@ -268,84 +279,39 @@ class TraceMonoid(_WordMonoid):
                 return None
         return None
 
-    def _is_normal(self, word: tuple[str, ...], start: int) -> bool:
-        # Anisimov-Knuth: a word is in lexicographic normal form iff no letter
-        # can move left past a larger letter it commutes with.  Letters before
-        # ``start`` are known to pass; the scan left of each later letter stops
-        # at the first letter it does not commute with.
-        index = self._index
-        for j in range(start, len(word)):
-            a = word[j]
-            commuting, rank = self._commuting[a], index[a]
-            for i in range(j - 1, -1, -1):
-                b = word[i]
-                if b not in commuting:
-                    break
-                if index[b] > rank:
-                    return False
-        return True
-
-    def _normalize(self, seq: Sequence[str], start: int = 0) -> tuple[str, ...]:
-        """Lexicographic normal form of ``seq``, whose letters before
-        ``start`` already form a normal word."""
-        word = tuple(seq)
-        if self._is_normal(word, start):
-            return word
-        # Emit the least generator whose next occurrence comes before every
-        # remaining occurrence of the generators it does not commute with.
-        queues: dict[str, deque[int]] = {g: deque() for g in self.generators}
-        for i, g in enumerate(word):
-            queues[g].append(i)
-        out = []
-        for _ in word:
-            for g in self.generators:
-                q = queues[g]
-                if q and all(not queues[h] or queues[h][0] > q[0] for h in self._dependent[g]):
-                    out.append(g)
-                    q.popleft()
-                    break
-        return tuple(out)
-
-    def mul(self, x, y):
-        if not x:
-            return y
-        if not y:
-            return x
-        return self._normalize(x + y, len(x))
-
-    def lgcd2(self, x, y):
+    def _peel(self, x, y) -> tuple[tuple[str, ...], list[str], list[str]]:
+        """``(g, x', y')`` with ``g = lgcd(x, y)``, ``x = g·x'`` and ``y = g·y'``;
+        the rests are words of their traces, not necessarily normal."""
         # lgcd(p·x, p·y) = p·lgcd(x, y), p the common word prefix; normal as p·x is.
-        n = 0
-        for a, b in zip(x, y):
-            if a != b:
-                break
-            n += 1
+        n = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), min(len(x), len(y)))
         rx, ry, out = list(x[n:]), list(y[n:]), list(x[:n])
         while rx and ry:
             for g in self.generators:
-                i = self._extract_index(rx, g)
-                j = self._extract_index(ry, g) if i is not None else None
-                if i is not None and j is not None:
-                    out.append(g)
-                    del rx[i]
+                i = self._front_index(rx, g)
+                j = None if i is None else self._front_index(ry, g)
+                if j is not None:
+                    out.append(rx.pop(i))
                     del ry[j]
                     break
             else:
                 break
-        return tuple(out)
+        return tuple(out), rx, ry
+
+    def mul(self, x, y):
+        return self._normalize(y, x) if x else y
+
+    def lgcd2(self, x, y):
+        return self._peel(x, y)[0]
 
     def left_divide(self, d, x):
         # Every factor of a normal word is normal, so when ``d`` is a word
         # prefix of ``x`` (the unit always is) the rest of ``x`` is the quotient.
         if x[: len(d)] == d:
             return x[len(d) :]
-        remaining = list(x)
-        for g in d:
-            i = self._extract_index(remaining, g)
-            if i is None:
-                raise NotDivisible(f"{self.render(d)} does not left-divide {self.render(x)}")
-            del remaining[i]
-        return self._normalize(remaining)
+        _, rest_d, rest_x = self._peel(d, x)
+        if rest_d:
+            raise NotDivisible(f"{self.render(d)} does not left-divide {self.render(x)}")
+        return self._normalize(rest_x)
 
     def canonical(self, payload):
         word = tuple(payload)

@@ -348,3 +348,30 @@ def brute_trace_lgcd(monoid: TraceMonoid, x: tuple, y: tuple, _cache={}):
         best = common
     assert len(best) == 1, f"expected a unique maximal common divisor, got {best}"
     return next(iter(best))
+
+
+def trace_normal_form_faults(monoid: TraceMonoid, result: tuple, word: tuple) -> list[str]:
+    """Why ``result`` is not the lexicographic normal form of ``word``, checked
+    without enumerating the class, so that long words can be checked.
+
+    ``result`` must have no Anisimov-Knuth factor ``b·u·a`` with ``a < b`` and
+    ``a`` commuting with every letter of ``b·u``, and, by the projection lemma,
+    the same projection as ``word`` onto every dependent pair of generators
+    (a generator paired with itself counts its occurrences).
+    """
+    order = {g: i for i, g in enumerate(monoid.generators)}
+    faults = []
+    for j, a in enumerate(result):
+        for i in range(j - 1, -1, -1):
+            if not monoid.independent(a, result[i]):
+                break
+            if order[result[i]] > order[a]:
+                faults.append(f"{a!r} at {j} can move left past {result[i]!r} at {i}")
+    for a in monoid.generators:
+        for b in monoid.generators[order[a] :]:
+            pair = (a, b)
+            if not monoid.independent(a, b) and [g for g in result if g in pair] != [
+                g for g in word if g in pair
+            ]:
+                faults.append(f"projections onto {a!r}, {b!r} differ")
+    return faults

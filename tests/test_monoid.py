@@ -26,7 +26,14 @@ from montrans import (
 )
 from montrans.errors import SchemaError
 
-from helpers import brute_trace_lgcd, inverse, random_element, standard_monoids, trace_class
+from helpers import (
+    brute_trace_lgcd,
+    inverse,
+    random_element,
+    standard_monoids,
+    trace_class,
+    trace_normal_form_faults,
+)
 
 MONOIDS = standard_monoids()
 
@@ -192,6 +199,56 @@ def test_trace_normal_form_is_least_word_of_class(trace, seams):
         product = trace.mul(x, y)
         assert product == least(x + y), (x, y)
         assert trace.left_divide(x, product) == y, (x, y)
+
+
+@pytest.mark.parametrize("trace", TRACES, ids=["standard", "four-letter"])
+def test_trace_divisibility_matches_brute_force(trace):
+    rng = random.Random(43)
+    outcomes = set()
+    for _ in range(400):
+        d, x = (
+            trace.canonical(tuple(rng.choice(trace.generators) for _ in range(rng.randint(0, k))))
+            for k in (4, 6)
+        )
+        d_class = trace_class(trace, d)
+        expected = any(member[: len(d)] in d_class for member in trace_class(trace, x))
+        assert trace.divides(d, x) == expected, (d, x)
+        if expected:
+            assert trace.mul(d, trace.left_divide(d, x)) == x, (d, x)
+        else:
+            with pytest.raises(NotDivisible):
+                trace.left_divide(d, x)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("trace", TRACES, ids=["standard", "four-letter"])
+def test_trace_normal_forms_of_long_words(trace):
+    rng = random.Random(47)
+
+    def random_word():
+        return tuple(rng.choice(trace.generators) for _ in range(rng.randint(30, 60)))
+
+    for _ in range(200):
+        word, other = random_word(), random_word()
+        x, y = trace.canonical(word), trace.canonical(other)
+        assert trace_normal_form_faults(trace, x, word) == [], word
+        assert trace_normal_form_faults(trace, trace.mul(x, y), word + other) == [], (x, y)
+
+
+def test_trace_normal_form_checker_finds_faults():
+    trace = TRACES[1]  # a·b, a·c, c·d and b·d commute
+    assert trace_normal_form_faults(trace, ("a", "c", "b"), ("c", "b", "a")) == []
+    assert trace_normal_form_faults(trace, ("b", "a"), ("a", "b")) == [
+        "'a' at 1 can move left past 'b' at 0"
+    ]
+    assert trace_normal_form_faults(trace, ("a", "d"), ("d", "a")) == [
+        "projections onto 'a', 'd' differ"
+    ]
+    assert trace_normal_form_faults(trace, ("a",), ("a", "a")) == [
+        "projections onto 'a', 'a' differ",
+        "projections onto 'a', 'd' differ",
+    ]
 
 
 def test_parse_render_round_trip(monoid):
