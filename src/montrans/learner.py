@@ -29,13 +29,15 @@ Consistency defects come in three kinds, checked in a fixed order:
 * ``INV`` -- a row's left-gcd fails to left-divide one of its extensions;
 * ``INJ`` -- two merged rows have defined extensions that break the merge.
 
-INV and INJ are decided per row from the cached left-gcds, not per cell.
-In a gcd monoid ``λ(q)`` divides every value of the ``q·a`` row exactly
-when it divides that row's left-gcd ``λ(q·a)``.  A value of the row is
+Each defect is decided per row from class ids and left-gcd quotients, not
+per cell.  TOT compares the class ids of the extensions.  In a gcd monoid
+``λ(q)`` divides every value of the ``q·a`` row exactly when it divides
+that row's left-gcd ``λ(q·a)``.  A value of the row is
 ``λ(q·a) · r(q·a, t)`` and reduced rows have a unit left-gcd, so two
 merged prefixes agree on ``λ(q)\\value`` for every suffix exactly when
-they agree on ``r(q·a, ·)`` and on ``λ(q)\\λ(q·a)``.  The cells of
-a row are scanned only to name the first suffix of a defect found that way.
+they agree on ``r(q·a, ·)`` and on ``λ(q)\\λ(q·a)``.  One suffix search
+then names every consistency defect: the first suffix at which the cells
+disagree on definedness, divisibility or quotient.
 
 All scans run in deterministic order (``Q`` insertion order, alphabet order,
 ``T`` insertion order, closure before consistency) so runs are reproducible.
@@ -48,7 +50,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .errors import BudgetExceeded, InternalInconsistency
-from .monoid import Monoid, PartialRow, PartialValue, lgcd_family
+from .monoid import Monoid, PartialRow, PartialValue, left_divide_partial, lgcd_family
 from .transducer import Transducer, Word, _assemble, render_word
 
 #: Answers the target function's value on a word (``None`` for undefined).
@@ -204,7 +206,7 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
     """First defect in deterministic scan order, or ``None`` if a hypothesis
     can be built."""
     m, alphabet, ext = table.monoid, table.alphabet, table._extensions
-    row, lam, values, cls = table.row, table.lam, table.values, table.class_ids
+    lam, values, cls = table.lam, table.values, table.class_ids
     classes = _row_classes(table)
 
     # Closure: a letter extension whose (somewhere-defined) row matches no
@@ -215,62 +217,47 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
             if c != BOTTOM and c not in classes:
                 return Defect(DefectKind.CLOSURE, qa)
 
-    # Definedness mismatches.  This scan and the INJ scan compare each class
-    # from its first prefix only: if that prefix matches every other member,
-    # the members match each other, so no later prefix finds a defect.  Equal
-    # rows are defined on the same suffixes, so cells are scanned only to
-    # name the suffix of a mismatch between different rows.
-    for state, (q, *rest) in classes.items():
-        bottom = state == BOTTOM
-        if not bottom and not rest:
-            continue
-        for i, a in enumerate(alphabet):
-            c = cls[ext[q][i]]
-            if (c == BOTTOM or not bottom) and all(cls[ext[q2][i]] == c for q2 in rest):
-                continue
-            ext_rows = [row(ext[q2][i]) for q2 in (q, *rest)]
-            for j, t in enumerate(table.suffixes):
-                defined = {r[j] is not None for r in ext_rows}
-                if len(defined) > 1 or (bottom and True in defined):
-                    return Defect(DefectKind.TOT, (a,) + t)
+    def divisible(q, v):
+        return v is None or m.divides(lam[q], v)
 
-    # Row left-gcds must left-divide every defined extension value, that is
-    # the extension's left-gcd; cells are scanned only to name the suffix.
-    for q in table.prefixes:
-        g = lam[q]
-        if g is None:
-            continue
-        for a, qa in zip(alphabet, ext[q]):
-            if lam[qa] is None or m.divides(g, lam[qa]):
-                continue
-            for t in table.suffixes:
-                v = values[qa + t]
-                if v is not None and not m.divides(g, v):
-                    return Defect(DefectKind.INV, (a,) + t)
+    def quotient(q, v):
+        return left_divide_partial(m, lam[q], v)
 
-    # Merged rows must keep matching after the extension: on the reduced
-    # extension row and on the quotient of the two left-gcds.
-    for q, *rest in classes.values():
-        g = lam[q]
-        if g is None or not rest:
-            continue
-        for i, a in enumerate(alphabet):
-            qa = ext[q][i]
-            if lam[qa] is None:
+    def suspects():
+        """Each ``(kind, members, letter index, key, padding)`` that the class
+        ids and left-gcds show to hold a consistency defect, in scan order."""
+        # TOT: a nowhere-defined class with a defined extension, or merged
+        # rows whose extensions differ; definedness names the suffix.
+        for state, members in classes.items():
+            bottom = state == BOTTOM
+            if not bottom and len(members) == 1:
                 continue
-            key = (cls[qa], m.left_divide(g, lam[qa]))
-            if all(
-                (cls[ext[q2][i]], m.left_divide(lam[q2], lam[ext[q2][i]])) == key for q2 in rest
-            ):
+            for i in range(len(alphabet)):
+                ids = {cls[ext[q][i]] for q in members}
+                if len(ids) > 1 or (bottom and ids != {BOTTOM}):
+                    pad = (False,) if bottom else ()
+                    yield DefectKind.TOT, members, i, lambda q, v: v is not None, pad
+        # INV: the row left-gcd must left-divide the extension's left-gcd.
+        for q in table.prefixes:
+            for i, qa in enumerate(ext[q]):
+                if lam[q] is not None and not divisible(q, lam[qa]):
+                    yield DefectKind.INV, (q,), i, divisible, (True,)
+        # INJ: merged rows must agree on the extension's class and on the
+        # quotient of the two left-gcds.
+        for state, members in classes.items():
+            if state == BOTTOM or len(members) == 1:
                 continue
-            for t in table.suffixes:
-                v1 = values[qa + t]
-                if v1 is None:
-                    continue
-                d1 = m.left_divide(g, v1)
-                for q2 in rest:
-                    if d1 != m.left_divide(lam[q2], values[ext[q2][i] + t]):
-                        return Defect(DefectKind.INJ, (a,) + t)
+            for i in range(len(alphabet)):
+                if len({(cls[ext[q][i]], quotient(q, lam[ext[q][i]])) for q in members}) > 1:
+                    yield DefectKind.INJ, members, i, quotient, ()
+
+    # One suffix search names every consistency defect: the first ``t`` at
+    # which the key of the members' cells ``values[q·a·t]`` and the padding
+    # take two values.
+    for kind, members, i, key, pad in suspects():
+        for t in table.suffixes:
+            if len({*pad, *(key(q, values[ext[q][i] + t]) for q in members)}) > 1:
+                return Defect(kind, (alphabet[i],) + t)
     return None
 
 

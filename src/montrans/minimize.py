@@ -81,7 +81,7 @@ def total(t: Transducer) -> Transducer:
     return _restrict(t, keep)
 
 
-def state_lgcds(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> dict[str, PartialValue]:
+def state_lgcds(t: Transducer) -> dict[str, PartialValue]:
     """Left-gcd of each state's recognized function, by fixpoint iteration.
 
     Starting from the termination values, each round folds every state's
@@ -95,7 +95,7 @@ def state_lgcds(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> di
     """
     m = t.monoid
     current: dict[str, PartialValue] = {s: t.termination[s] for s in t.states}
-    for _ in range(iteration_cap):
+    for _ in range(DEFAULT_ITERATION_CAP):
         nxt: dict[str, PartialValue] = {}
         for s in t.states:
             row = [t.termination[s]]
@@ -114,7 +114,7 @@ def state_lgcds(t: Transducer, iteration_cap: int = DEFAULT_ITERATION_CAP) -> di
             return nxt
         current = nxt
     raise IterationBudgetExceeded(
-        f"state left-gcds did not stabilize within {iteration_cap} rounds"
+        f"state left-gcds did not stabilize within {DEFAULT_ITERATION_CAP} rounds"
     )
 
 

@@ -281,20 +281,25 @@ class TraceMonoid(_WordMonoid):
 
     def _peel(self, x, y) -> tuple[tuple[str, ...], list[str], list[str]]:
         """``(g, x', y')`` with ``g = lgcd(x, y)``, ``x = g·x'`` and ``y = g·y'``;
-        the rests are words of their traces, not necessarily normal."""
-        # lgcd(p·x, p·y) = p·lgcd(x, y), p the common word prefix; normal as p·x is.
+        the rests are words of their traces, not necessarily normal.
+
+        One pass over ``x``: a letter joins ``g`` when it commutes with every
+        letter left in ``x'`` and can be brought to the front of ``y'``.  A
+        letter left behind never could later: its blocker in ``x'`` stays, and
+        one in ``y'`` depends on it and follows it in ``x``, so stays too.
+        ``g`` is a downward-closed subsequence of the normal word ``x``, so it
+        is normal."""
+        # lgcd(p·x, p·y) = p·lgcd(x, y), p the common word prefix.
         n = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), min(len(x), len(y)))
-        rx, ry, out = list(x[n:]), list(y[n:]), list(x[:n])
-        while rx and ry:
-            for g in self.generators:
-                i = self._front_index(rx, g)
-                j = None if i is None else self._front_index(ry, g)
-                if j is not None:
-                    out.append(rx.pop(i))
-                    del ry[j]
-                    break
+        out, rx, ry, left = list(x[:n]), [], list(y[n:]), set()
+        for c in x[n:]:
+            j = self._front_index(ry, c) if left <= self._commuting[c] else None
+            if j is None:
+                rx.append(c)
+                left.add(c)
             else:
-                break
+                out.append(c)
+                del ry[j]
         return tuple(out), rx, ry
 
     def mul(self, x, y):

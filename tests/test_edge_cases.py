@@ -41,7 +41,7 @@ def test_state_lgcds_iteration_cap_on_misbehaving_instance():
         transitions={("s", "a"): (1, "s")},
     )
     with pytest.raises(IterationBudgetExceeded):
-        state_lgcds(machine, iteration_cap=50)
+        state_lgcds(machine)
 
 
 def test_first_difference_respects_length_bound():

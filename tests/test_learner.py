@@ -32,7 +32,7 @@ from montrans import (
     red_row,
 )
 import montrans.learner
-from montrans.learner import BOTTOM, EMPTY, Defect, _row_classes
+from montrans.learner import BOTTOM, EMPTY, Defect
 
 from helpers import learning_target, load_machine, random_machine, standard_monoids
 
@@ -187,48 +187,67 @@ def test_incremental_fill_matches_whole_table_refactor(monkeypatch):
     assert all(shrunk[kind] > 0 for kind in ("free", "trace", "commutative", "nat-add")), shrunk
 
 
-def _cell_scan_inv_inj(table: ObservationTable):
-    """The INV and INJ scans decided cell by cell: every defined extension
-    value is divided by its row's left-gcd, and merged rows are compared
-    quotient by quotient."""
-    m = table.monoid
+def _cell_scan(table: ObservationTable):
+    """Every defect kind decided cell by cell from the raw cells alone: rows
+    are reduced afresh and grouped by equality, extension cells are compared
+    on definedness, every defined extension value is divided by its row's
+    left-gcd, and merged rows are compared quotient by quotient."""
+    m, values = table.monoid, table.values
+
+    def cells(w):
+        return [values[w + t] for t in table.suffixes]
+
+    classes = {}
     for q in table.prefixes:
-        g = table.lam[q]
+        classes.setdefault(red_row(m, cells(q)), []).append(q)
+    for q in table.prefixes:
+        for a in table.alphabet:
+            r = red_row(m, cells(q + (a,)))
+            if any(v is not None for v in r) and r not in classes:
+                return Defect(DefectKind.CLOSURE, q + (a,))
+    for r, members in classes.items():
+        bottom = all(v is None for v in r)
+        for a in table.alphabet:
+            for t in table.suffixes:
+                defined = {values[q + (a,) + t] is not None for q in members}
+                if len(defined) > 1 or (bottom and True in defined):
+                    return Defect(DefectKind.TOT, (a,) + t)
+    for q in table.prefixes:
+        g = lgcd_family(m, cells(q))
         if g is None:
             continue
         for a in table.alphabet:
             for t in table.suffixes:
-                v = table.values[q + (a,) + t]
+                v = values[q + (a,) + t]
                 if v is not None and not m.divides(g, v):
                     return Defect(DefectKind.INV, (a,) + t)
-    for q, *rest in _row_classes(table).values():
-        g = table.lam[q]
+    for q, *rest in classes.values():
+        g = lgcd_family(m, cells(q))
         if g is None or not rest:
             continue
         for a in table.alphabet:
             for t in table.suffixes:
-                v1 = table.values[q + (a,) + t]
+                v1 = values[q + (a,) + t]
                 if v1 is None:
                     continue
                 d1 = m.left_divide(g, v1)
                 for q2 in rest:
-                    v2 = table.values[q2 + (a,) + t]
-                    if d1 != m.left_divide(table.lam[q2], v2):
+                    v2 = values[q2 + (a,) + t]
+                    if d1 != m.left_divide(lgcd_family(m, cells(q2)), v2):
                         return Defect(DefectKind.INJ, (a,) + t)
     return None
 
 
 def test_row_level_defect_search_matches_cell_scan(monkeypatch):
-    """Wherever ``find_defect`` reaches its INV and INJ scans, deciding them
-    from the cached left-gcds and reduced rows finds the defect the cell by
-    cell scan finds."""
+    """On every call, deciding defects from class ids and left-gcds and
+    naming them by one suffix search finds the defect, of every kind, that
+    the cell by cell scan finds."""
     real = find_defect
     seen = Counter()
 
     def checked_find_defect(table):
         defect = real(table)
-        if defect is None or defect.kind in (DefectKind.INV, DefectKind.INJ):
-            assert defect == _cell_scan_inv_inj(table), (table.monoid.kind, defect)
+        assert defect == _cell_scan(table), (table.monoid.kind, defect)
         seen[None if defect is None else defect.kind] += 1
         return defect
 

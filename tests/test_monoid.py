@@ -236,6 +236,32 @@ def test_trace_normal_forms_of_long_words(trace):
         assert trace_normal_form_faults(trace, trace.mul(x, y), word + other) == [], (x, y)
 
 
+@pytest.mark.parametrize("trace", TRACES, ids=["standard", "four-letter"])
+def test_trace_peel_of_long_words(trace):
+    """The peel splits long words into their left-gcd and two rests with no
+    common front generator, so the left-gcd is the greatest one."""
+    rng = random.Random(53)
+
+    def random_word(n):
+        return tuple(rng.choice(trace.generators) for _ in range(n))
+
+    def to_front(word, g):
+        return g in word and all(trace.independent(g, c) for c in word[: word.index(g)])
+
+    for _ in range(300):
+        n = rng.randint(0, 300)
+        common = random_word(rng.randint(0, n))
+        x = trace.canonical(common + random_word(n - len(common)))
+        y = trace.canonical(common + random_word(rng.randint(0, 300 - len(common))))
+        g, rest_x, rest_y = trace._peel(x, y)
+        assert trace.mul(g, trace.canonical(rest_x)) == x, (x, y)
+        assert trace.mul(g, trace.canonical(rest_y)) == y, (x, y)
+        assert trace_normal_form_faults(trace, g, g) == [], (x, y)
+        assert not any(
+            to_front(rest_x, c) and to_front(rest_y, c) for c in trace.generators
+        ), (x, y)
+
+
 def test_trace_normal_form_checker_finds_faults():
     trace = TRACES[1]  # a·b, a·c, c·d and b·d commute
     assert trace_normal_form_faults(trace, ("a", "c", "b"), ("c", "b", "a")) == []
