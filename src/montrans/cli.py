@@ -101,8 +101,7 @@ def cmd_learn(args) -> int:
     except BudgetExceeded as exc:
         if args.stats:
             print(json.dumps(exc.stats.to_doc(), indent=2))
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 4
+        raise
     _emit_machine(machine, args.output, args.dot)
     if args.stats:
         print(json.dumps(stats.to_doc(), indent=2))

@@ -104,8 +104,8 @@ class ObservationTable:
     """The learner's working state: ``Q``, ``T`` and the factored rows.
 
     Membership answers are memoized forever in ``values``; the oracle is
-    consulted exactly once per distinct word, and ``queries`` counts those
-    consultations.  Each word ``w`` of ``Q ∪ Q·A`` has one row: its left-gcd
+    consulted exactly once per distinct word, so ``len(values)`` counts
+    those consultations.  Each word ``w`` of ``Q ∪ Q·A`` has one row: its left-gcd
     ``λ(w)`` in ``lam`` and its reduced row ``r(w, ·)`` as a tuple over
     the first ``len(row)`` suffixes of ``T``.  The raw cell ``f(w·t)`` is
     ``values[w + t]``.  ``fill`` gives each row a class id in ``class_ids``:
@@ -125,7 +125,6 @@ class ObservationTable:
         self._extensions: dict[Word, tuple[Word, ...]] = {EMPTY: tuple((a,) for a in self.alphabet)}
         #: Reduced rows over the current ``T`` mapped to their class ids.
         self._interned: dict[PartialRow, int] = {(None,): BOTTOM}
-        self.queries = 0
 
     def fill(self, membership: MembershipFn) -> None:
         """Query every missing cell, extend each row's factorization and intern it.
@@ -152,7 +151,6 @@ class ObservationTable:
                 wt = w + t
                 if wt not in values:
                     values[wt] = membership(wt)
-                    self.queries += 1
                 cells.append(values[wt])
             old = lam.get(w)
             g = lgcd_family(m, (old, *cells))
@@ -352,7 +350,7 @@ def learn(
     notify = observer or (lambda event, payload: None)
 
     def check_caps() -> None:
-        stats.membership_queries = table.queries
+        stats.membership_queries = len(table.values)
         stats.q_updates, stats.t_updates = len(table.prefixes) - 1, len(table.suffixes) - 1
         if len(table.prefixes) > limits.max_q:
             raise BudgetExceeded(

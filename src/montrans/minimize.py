@@ -53,6 +53,9 @@ class StagedMinimization:
 
 
 def _restrict(t: Transducer, keep: list[str]) -> Transducer:
+    """``t`` restricted to the states ``keep``; ``t`` itself when that is all of them."""
+    if len(keep) == len(t.states):
+        return t
     kept = set(keep)
     transitions = {
         (s, a): step for (s, a), step in t.transitions.items() if s in kept and step[1] in kept
@@ -65,20 +68,14 @@ def _restrict(t: Transducer, keep: list[str]) -> Transducer:
 def reach(t: Transducer) -> Transducer:
     """Restriction to the states reachable from the initial state; ``t``
     itself when every state is."""
-    keep = t.reachable_states()
-    if len(keep) == len(t.states):
-        return t
-    return _restrict(t, keep)
+    return _restrict(t, t.reachable_states())
 
 
 def total(t: Transducer) -> Transducer:
     """Restriction to productive states; clears the initial pair if its state
     recognizes the nowhere-defined function.  ``t`` itself when every state
     is productive."""
-    keep = t.productive_states()
-    if len(keep) == len(t.states):
-        return t
-    return _restrict(t, keep)
+    return _restrict(t, t.productive_states())
 
 
 def state_lgcds(t: Transducer) -> dict[str, PartialValue]:
@@ -221,10 +218,8 @@ def check_minimal(t: Transducer) -> bool:
     machine can carry non-unit (invertible) state left-gcds, and two of its
     states may differ only by such a factor.
     """
-    if set(t.reachable_states()) != set(t.states):
+    if len(t.reachable_states()) != len(t.states):
         return False
-    if not t.states:
-        return True
     beta = state_lgcds(t)
     m = t.monoid
     if any(beta[s] is None or not m.is_invertible(beta[s]) for s in t.states):

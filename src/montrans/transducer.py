@@ -105,35 +105,29 @@ class Transducer:
 
     # -- structure ---------------------------------------------------------
 
-    def reachable_states(self) -> list[str]:
-        """Forward closure from the initial state, in declaration order."""
-        if self.initial is None:
-            return []
-        seen = {self.initial[1]}
-        frontier = [self.initial[1]]
-        while frontier:
-            s = frontier.pop()
-            for a in self.alphabet:
-                step = self.transitions.get((s, a))
-                if step is not None and step[1] not in seen:
-                    seen.add(step[1])
-                    frontier.append(step[1])
-        return [s for s in self.states if s in seen]
-
-    def productive_states(self) -> list[str]:
-        """Backward closure from states with defined termination."""
-        incoming: dict[str, set[str]] = {s: set() for s in self.states}
-        for (s, _), (_, target) in self.transitions.items():
-            incoming[target].add(s)
-        seen = {s for s in self.states if self.termination[s] is not None}
+    def _closure(self, seeds, edges) -> list[str]:
+        """States reached from ``seeds`` along ``(from, to)`` pairs, in declaration order."""
+        successors: dict[str, list[str]] = {}
+        for s, target in edges:
+            successors.setdefault(s, []).append(target)
+        seen = set(seeds)
         frontier = list(seen)
         while frontier:
-            s = frontier.pop()
-            for p in incoming[s]:
-                if p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
+            for target in successors.get(frontier.pop(), ()):
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
         return [s for s in self.states if s in seen]
+
+    def reachable_states(self) -> list[str]:
+        """Forward closure from the initial state, in declaration order."""
+        seeds = () if self.initial is None else (self.initial[1],)
+        return self._closure(seeds, ((s, target) for (s, _), (_, target) in self.transitions.items()))
+
+    def productive_states(self) -> list[str]:
+        """Backward closure from states with defined termination, in declaration order."""
+        seeds = [s for s in self.states if self.termination[s] is not None]
+        return self._closure(seeds, ((target, s) for (s, _), (_, target) in self.transitions.items()))
 
     # -- serialization -----------------------------------------------------
 

@@ -82,7 +82,7 @@ def test_fill_queries_each_word_once(target):
     before = len(calls)
     table.fill(membership)
     assert len(calls) == before  # memoized
-    assert table.queries == before
+    assert len(table.values) == before
 
 
 def test_rows_are_keyed_by_word(monkeypatch):

@@ -37,6 +37,7 @@ from helpers import (
     beta_loop,
     chain,
     load_machine,
+    random_element,
     random_machine,
     standard_monoids,
     state_eval,
@@ -140,23 +141,57 @@ def test_eval_is_a_monoid_action():
                 assert resumed == t.eval(word)
 
 
+def _led_to(t: Transducer, word: tuple):
+    """The state ``word`` leads to from the initial state, or ``None``."""
+    state = None if t.initial is None else t.initial[1]
+    for a in word:
+        step = t.transitions.get((state, a))
+        if step is None:
+            return None
+        state = step[1]
+    return state
+
+
+def _with_unreachable_and_dead(t: Transducer, rng: random.Random) -> Transducer:
+    """``t`` plus a state ``u`` that nothing enters and a state ``d`` that
+    never terminates and only loops, entered by one of ``t``'s states."""
+    m = t.monoid
+    states = (*t.states, "u", "d")
+    transitions = dict(t.transitions)
+    for a in t.alphabet:
+        transitions[("u", a)] = (random_element(m, rng), rng.choice(states))
+        transitions[("d", a)] = (random_element(m, rng), "d")
+    transitions[(rng.choice(t.states), rng.choice(t.alphabet))] = (random_element(m, rng), "d")
+    termination = {**t.termination, "u": random_element(m, rng), "d": None}
+    return Transducer(m, t.alphabet, states, t.initial, termination, transitions)
+
+
 def test_reachable_and_productive_are_fixpoints():
+    """Both closures are closed under their edges and exact: with ``n``
+    states, a state is reachable iff some word shorter than ``n`` leads to
+    it, and productive iff it is defined on some word of at most ``n``
+    letters."""
     rng = random.Random(8)
     for monoid in standard_monoids().values():
         for _ in range(10):
-            t = random_machine(monoid, rng, max_states=5)
-            reachable = set(t.reachable_states())
-            for s in reachable:
-                for a in t.alphabet:
-                    step = t.transitions.get((s, a))
-                    if step is not None:
-                        assert step[1] in reachable
-            productive = set(t.productive_states())
-            for (s, _), (_, target) in t.transitions.items():
-                if target in productive:
-                    assert s in productive
-            for s in productive:
-                assert any(state_eval(t, s, w) is not None for w in words_up_to(t.alphabet, 6))
+            drawn = random_machine(monoid, rng, max_states=5)
+            for t in (drawn, _with_unreachable_and_dead(drawn, rng)):
+                reachable = set(t.reachable_states())
+                for s in reachable:
+                    for a in t.alphabet:
+                        step = t.transitions.get((s, a))
+                        if step is not None:
+                            assert step[1] in reachable
+                productive = set(t.productive_states())
+                for (s, _), (_, target) in t.transitions.items():
+                    if target in productive:
+                        assert s in productive
+                n = len(t.states)
+                words = list(words_up_to(t.alphabet, n))
+                assert reachable == {_led_to(t, w) for w in words if len(w) < n} - {None}
+                assert productive == {
+                    s for s in t.states if any(state_eval(t, s, w) is not None for w in words)
+                }
 
 
 def test_dead_prefix_stays_bottom(machine):
