@@ -52,6 +52,15 @@ def _split_letters(text: str, letters: Iterable[str]) -> list[str]:
     return [text]
 
 
+def _wire(value):
+    """JSON form of a field: tuples become lists, frozen sets sorted lists."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, frozenset):
+        return sorted(map(_wire, value))
+    return value
+
+
 def _check_generators(generators: Sequence[str]) -> tuple[str, ...]:
     gens = tuple(generators)
     if not gens:
@@ -77,6 +86,8 @@ class Monoid:
     """
 
     kind: str = "?"
+    #: Wire fields besides ``kind``, in constructor order; each names an attribute.
+    fields: tuple[str, ...] = ()
 
     # -- core algebra ------------------------------------------------------
 
@@ -132,7 +143,7 @@ class Monoid:
         raise NotImplementedError
 
     def to_wire(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **{f: _wire(getattr(self, f)) for f in self.fields}}
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Monoid) and self.to_wire() == other.to_wire())
@@ -146,6 +157,8 @@ class Monoid:
 
 class _GeneratedMonoid(Monoid):
     """Shared plumbing for monoids presented by named generators."""
+
+    fields = ("generators",)
 
     def __init__(self, generators: Sequence[str]):
         self.generators = _check_generators(generators)
@@ -163,9 +176,6 @@ class _GeneratedMonoid(Monoid):
         if any(not p for p in parts):
             raise MalformedElement(f"malformed element text: {text!r}")
         return [self._check_letter(p) for p in parts]
-
-    def to_wire(self) -> dict:
-        return {"kind": self.kind, "generators": list(self.generators)}
 
 
 class _WordMonoid(_GeneratedMonoid):
@@ -229,6 +239,7 @@ class TraceMonoid(_WordMonoid):
     """
 
     kind = "trace"
+    fields = ("generators", "commutations")
 
     def __init__(self, generators: Sequence[str], commutations: Iterable[tuple[str, str]]):
         super().__init__(generators)
@@ -324,14 +335,6 @@ class TraceMonoid(_WordMonoid):
             self._check_letter(g)
         return self._normalize(word)
 
-    def to_wire(self) -> dict:
-        pairs = sorted(sorted(p) for p in self.commutations)
-        return {
-            "kind": self.kind,
-            "generators": list(self.generators),
-            "commutations": [list(p) for p in pairs],
-        }
-
 
 class CommutativeMonoid(_GeneratedMonoid):
     """Free commutative monoid; elements are ``((gen, count), ...)`` tuples
@@ -362,7 +365,7 @@ class CommutativeMonoid(_GeneratedMonoid):
 
     def lgcd2(self, x, y):
         dy = dict(y)
-        return tuple((g, min(n, dy[g])) for g, n in x if g in dy and min(n, dy[g]) > 0)
+        return tuple((g, min(n, dy[g])) for g, n in x if g in dy)
 
     def left_divide(self, d, x):
         if not d:
@@ -457,14 +460,12 @@ class NatAddMonoid(_NumberMonoid):
             raise MalformedElement(f"expected a natural number, got {payload!r}")
         return payload
 
-    def to_wire(self) -> dict:
-        return {"kind": self.kind}
-
 
 class CyclicGroup(_NumberMonoid):
     """Integers modulo ``modulus`` under addition; every element invertible."""
 
     kind = "cyclic-group"
+    fields = ("modulus",)
     noun = "residue"
 
     def __init__(self, modulus: int):
@@ -495,19 +496,10 @@ class CyclicGroup(_NumberMonoid):
             raise MalformedElement(f"expected an integer residue, got {payload!r}")
         return payload % self.modulus
 
-    def to_wire(self) -> dict:
-        return {"kind": self.kind, "modulus": self.modulus}
 
-
-#: Each monoid kind with the wire fields it takes besides ``kind``.
-FIELDS = {
-    "free": ("generators",),
-    "trace": ("generators", "commutations"),
-    "commutative": ("generators",),
-    "nat-add": (),
-    "cyclic-group": ("modulus",),
-}
-KINDS = tuple(FIELDS)
+#: Each monoid kind with its class.
+CLASSES = {cls.kind: cls for cls in (FreeMonoid, TraceMonoid, CommutativeMonoid, NatAddMonoid, CyclicGroup)}
+KINDS = tuple(CLASSES)
 
 
 def make_monoid(
@@ -517,19 +509,13 @@ def make_monoid(
     modulus: Optional[int] = None,
 ) -> Monoid:
     """Construct a monoid instance from its description."""
-    if kind == "free":
-        return FreeMonoid(generators)
-    if kind == "trace":
-        return TraceMonoid(generators, commutations)
-    if kind == "commutative":
-        return CommutativeMonoid(generators)
-    if kind == "nat-add":
-        return NatAddMonoid()
-    if kind == "cyclic-group":
-        if modulus is None:
-            raise ValueError("cyclic-group requires a modulus")
-        return CyclicGroup(modulus)
-    raise ValueError(f"unknown monoid kind {kind!r} (expected one of {', '.join(KINDS)})")
+    if kind not in KINDS:  # a tuple test, as a malformed kind may be unhashable
+        raise ValueError(f"unknown monoid kind {kind!r} (expected one of {', '.join(KINDS)})")
+    if kind == "cyclic-group" and modulus is None:
+        raise ValueError("cyclic-group requires a modulus")
+    given = {"generators": generators, "commutations": commutations, "modulus": modulus}
+    cls = CLASSES[kind]
+    return cls(*(given[f] for f in cls.fields))
 
 
 def monoid_from_wire(doc, path: str = "monoid") -> Monoid:
@@ -540,7 +526,7 @@ def monoid_from_wire(doc, path: str = "monoid") -> Monoid:
     if kind not in KINDS:  # a tuple test, as a malformed kind may be unhashable
         raise SchemaError(f"{path}.kind", f"unknown monoid kind {kind!r}")
     for key in doc:
-        if key != "kind" and key not in FIELDS[kind]:
+        if key != "kind" and key not in CLASSES[kind].fields:
             raise SchemaError(f"{path}.{key}", f"unexpected field for kind {kind!r}")
     # A field the kind does not take is absent here, so its default passes.
     generators = doc.get("generators", [])

@@ -212,6 +212,63 @@ def chain(monoid: Monoid, n: int, twins: int = 0, reset: bool = False) -> Transd
     )
 
 
+def _pair_key(monoid: Monoid, c1, c2):
+    """The key of two configurations ``(value, state)``, ``None`` once
+    undefined: the states and the values up to their left-gcd."""
+    if c1 is None and c2 is None:
+        return None
+    if c1 is None:
+        return ("dead-left", c2[1])
+    if c2 is None:
+        return ("dead-right", c1[1])
+    g = monoid.lgcd2(c1[0], c2[0])
+    return (c1[1], c2[1], monoid.left_divide(g, c1[0]), monoid.left_divide(g, c2[0]))
+
+
+def _step_config(t: Transducer, config, letter):
+    step = None if config is None else t.transitions.get((config[1], letter))
+    return None if step is None else (t.monoid.mul(config[0], step[0]), step[1])
+
+
+def equivalence_certificate_faults(t1: Transducer, t2: Transducer, keys) -> list[str]:
+    """Why ``keys`` does not prove ``t1`` and ``t2`` equivalent.
+
+    ``keys`` holds configuration-pair keys as the equivalence walk returns
+    them: ``(s₁, s₂, a, b)`` with ``lgcd(a, b) = 1``, ``("dead-left", s₂)``
+    or ``("dead-right", s₁)`` when one side is undefined, and ``None`` when
+    both are.  The set must hold the initial pair's key and every successor
+    key of its keys (unless both successors are undefined); every pair key
+    must have ``a·τ₁(s₁) = b·τ₂(s₂)``, τ the termination, and every dead
+    key's live state must be non-productive.  By left cancellativity a set
+    without faults proves that every word gets equal values from both.
+    """
+    m = t1.monoid
+    faults = []
+    if _pair_key(m, t1.initial, t2.initial) not in keys:
+        faults.append("the initial key is missing")
+    productive = (set(t1.productive_states()), set(t2.productive_states()))
+    for key in keys:
+        if key is None:
+            continue
+        if len(key) == 2:
+            side, s = key
+            dead_left = side == "dead-left"
+            if s in productive[dead_left]:
+                faults.append(f"{key!r}: {s!r} is productive")
+            live = (m.unit(), s)
+            c1, c2 = (None, live) if dead_left else (live, None)
+        else:
+            s1, s2, a, b = key
+            if mul_partial(m, a, t1.termination[s1]) != mul_partial(m, b, t2.termination[s2]):
+                faults.append(f"{key!r}: the terminations differ")
+            c1, c2 = (a, s1), (b, s2)
+        for letter in t1.alphabet:
+            n1, n2 = _step_config(t1, c1, letter), _step_config(t2, c2, letter)
+            if (n1 is not None or n2 is not None) and _pair_key(m, n1, n2) not in keys:
+                faults.append(f"{key!r}: the successor on {letter!r} is missing")
+    return faults
+
+
 def _rename(t: Transducer, rng: random.Random) -> Transducer:
     order = list(range(len(t.states)))
     rng.shuffle(order)

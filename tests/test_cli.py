@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -323,6 +324,28 @@ def test_import_builds_no_parser():
     )
     src = Path(montrans.cli.__file__).parents[1]
     subprocess.run([sys.executable, "-c", probe], check=True, env={"PYTHONPATH": str(src)})
+
+
+@pytest.mark.parametrize(
+    "args, code, out",
+    [
+        (["eval", "--machine", TARGET, "a"], 0, "γ·α·β·α\n"),
+        (["eval", "--machine", TARGET, "bb"], 3, "⊥\n"),
+        ([], 2, ""),
+    ],
+)
+def test_module_entry_in_a_fresh_process(args, code, out):
+    """``python -m montrans.cli`` runs ``entry``, which exits with ``main``'s code."""
+    src = Path(montrans.cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run(
+        [sys.executable, "-m", "montrans.cli", *args],
+        capture_output=True,
+        encoding="utf-8",
+        env=env,
+    )
+    assert (done.returncode, done.stdout) == (code, out)
+    assert done.stderr.startswith("usage: montrans") == (not args)
 
 
 def test_repeated_calls_build_the_parser_once(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from montrans import (
     BudgetExceeded,
     DefectKind,
+    FreeMonoid,
     InternalInconsistency,
     LearnLimits,
     ObservationTable,
@@ -431,6 +432,20 @@ def test_unclosed_table_error_renders_the_prefix():
     table.fill(lambda word: 0 if len(word) % 2 == 0 else None)
     assert find_defect(table) == Defect(DefectKind.CLOSURE, ("e",))
     with pytest.raises(InternalInconsistency, match=r"^no state row matches the \(ε, e\) row$"):
+        build_hypothesis(table)
+
+
+def test_indivisible_step_is_an_internal_inconsistency():
+    """``ε ↦ α`` and ``a ↦ β`` reduce to one class under ``T = {ε}``, so the
+    table is closed, but ``α`` does not left-divide ``β``: an INV defect, and
+    no transition output for a hypothesis built anyway."""
+    m = FreeMonoid(("α", "β"))
+    answers = {EMPTY: m.parse("α"), ("a",): m.parse("β")}
+    table = ObservationTable(m, ("a",))
+    table.fill(answers.__getitem__)
+    assert table.class_ids[EMPTY] == table.class_ids[("a",)]
+    assert find_defect(table) == Defect(DefectKind.INV, ("a",))
+    with pytest.raises(InternalInconsistency, match=r"^α does not left-divide β$"):
         build_hypothesis(table)
 
 

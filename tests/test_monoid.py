@@ -71,6 +71,33 @@ def test_monoid_wire_round_trip(monoid):
     assert hash(decoded) == hash(monoid)
 
 
+def test_monoid_wire_forms_are_pinned():
+    # Key order matters: machine documents write these objects as they are.
+    pinned = {
+        "free": [("kind", "free"), ("generators", ["α", "β", "γ"])],
+        "trace": [("kind", "trace"), ("generators", ["α", "β", "γ"]), ("commutations", [["α", "β"]])],
+        "commutative": [("kind", "commutative"), ("generators", ["α", "β"])],
+        "nat-add": [("kind", "nat-add")],
+        "cyclic-group": [("kind", "cyclic-group"), ("modulus", 3)],
+    }
+    for name, monoid in MONOIDS.items():
+        assert list(monoid.to_wire().items()) == pinned[name]
+    two_pairs = TraceMonoid(("α", "β", "γ", "δ"), [("δ", "γ"), ("β", "α")])
+    assert list(two_pairs.to_wire().items()) == [
+        ("kind", "trace"),
+        ("generators", ["α", "β", "γ", "δ"]),
+        ("commutations", [["α", "β"], ["γ", "δ"]]),
+    ]
+    no_pairs = TraceMonoid(("β", "α"), [])
+    assert list(no_pairs.to_wire().items()) == [
+        ("kind", "trace"),
+        ("generators", ["β", "α"]),
+        ("commutations", []),
+    ]
+    with pytest.raises(ValueError, match="unknown monoid kind"):
+        make_monoid({"kind": "free"})
+
+
 def test_trace_monoids_differ_by_commutations():
     commuting = TraceMonoid(("α", "β"), [("α", "β")])
     free = TraceMonoid(("α", "β"), [])

@@ -31,6 +31,8 @@ from montrans.errors import UnknownLetter
 
 from helpers import (
     beta_loop,
+    chain,
+    equivalence_certificate_faults,
     equivalent_pair,
     learning_target,
     load_machine,
@@ -366,6 +368,54 @@ def test_equivalence_oracle_on_learner_hypotheses_needs_no_minimization():
             if isinstance(h.monoid, CyclicGroup):
                 shifted += any(v != 0 for v in state_lgcds(h).values())
     assert shifted > 0
+
+
+def _bounded_walk(left: Transducer, right: Transducer):
+    """The equivalence walk under the equivalence oracle's length bound."""
+    return montrans.oracle._walk(left, right, (len(left.states) + 1) * (len(right.states) + 1))
+
+
+@pytest.mark.parametrize("kind", sorted(standard_monoids()))
+@pytest.mark.parametrize("reset", [False, True])
+def test_equivalence_walk_keys_are_certificates(kind, reset):
+    """On equivalent chains the walk's keys certify equivalence at 1000
+    states (200 for trace); without the initial or a later key, or against a
+    machine with shifted terminations, they do not."""
+    n = 200 if kind == "trace" else 1000
+    monoid = standard_monoids()[kind]
+    left, right = chain(monoid, n, 1, reset), chain(monoid, n + 5, 6, reset)
+    verdict, keys = _bounded_walk(left, right)
+    assert verdict is None
+    assert equivalence_certificate_faults(left, right, keys) == []
+    order = list(keys)
+    for dropped in (order[0], order[1], order[-1]):
+        assert equivalence_certificate_faults(left, right, set(keys) - {dropped})
+    shift = rank_one(monoid, 0)
+    shifted = replace(right, termination={s: mul_partial(monoid, v, shift) for s, v in right.termination.items()})
+    assert equivalence_certificate_faults(left, shifted, keys)
+
+
+def test_equivalence_certificate_dead_keys():
+    """Trimming drops state 2, which is defined on no word, so the walk pairs
+    it with an undefined side; the productive state 4, which trimming also
+    drops as unreachable, may not be paired so."""
+    machine = beta_loop("free")
+    trimmed = minimize(machine).total
+    for left, right, dead in ((trimmed, machine, "dead-left"), (machine, trimmed, "dead-right")):
+        verdict, keys = _bounded_walk(left, right)
+        assert verdict is None and (dead, "2") in keys
+        assert equivalence_certificate_faults(left, right, keys) == []
+        assert equivalence_certificate_faults(left, right, {*keys, (dead, "4")})
+
+
+@pytest.mark.parametrize("kind", sorted(standard_monoids()))
+def test_equivalence_walk_finds_differences_of_long_chains(kind):
+    n = 200 if kind == "trace" else 1000
+    monoid = standard_monoids()[kind]
+    left, right = chain(monoid, n, 1), chain(monoid, n + 1, 1)
+    verdict = _bounded_walk(left, right)[0]
+    assert verdict is not None
+    assert left.eval(verdict.word) == verdict.left_value != verdict.right_value == right.eval(verdict.word)
 
 
 def test_equivalence_oracle_rejects_mismatched_machines():
