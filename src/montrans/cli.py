@@ -29,7 +29,7 @@ from .oracle import (
     equivalence_oracle,
     membership_oracle,
 )
-from .transducer import Transducer, deserialize, parse_word, render_word
+from .transducer import Transducer, _json_text, deserialize, parse_word, render_word
 
 
 def _load(path: str) -> Transducer:
@@ -77,7 +77,7 @@ def cmd_minimize(args) -> int:
                 s: {"representative": r, "witness": unit} for s, r in staged.representatives.items()
             },
         }
-        _write(args.output + ".witnesses.json", json.dumps(report, ensure_ascii=False, indent=2) + "\n")
+        _write(args.output + ".witnesses.json", _json_text(report) + "\n")
     return 0
 
 
@@ -100,11 +100,11 @@ def cmd_learn(args) -> int:
         )
     except BudgetExceeded as exc:
         if args.stats:
-            print(json.dumps(exc.stats.to_doc(), indent=2))
+            print(_json_text(exc.stats.to_doc()))
         raise
     _emit_machine(machine, args.output, args.dot)
     if args.stats:
-        print(json.dumps(stats.to_doc(), indent=2))
+        print(_json_text(stats.to_doc()))
     return 0
 
 

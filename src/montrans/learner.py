@@ -203,8 +203,8 @@ def _row_classes(table: ObservationTable) -> dict[int, list[Word]]:
 def find_defect(table: ObservationTable) -> Optional[Defect]:
     """First defect in deterministic scan order, or ``None`` if a hypothesis
     can be built."""
-    m, alphabet, ext = table.monoid, table.alphabet, table._extensions
-    lam, values, cls = table.lam, table.values, table.class_ids
+    m, alphabet, ext, suffixes = table.monoid, table.alphabet, table._extensions, table.suffixes
+    row, lam, values, cls = table.row, table.lam, table.values, table.class_ids
     classes = _row_classes(table)
 
     # Closure: a letter extension whose (somewhere-defined) row matches no
@@ -222,10 +222,12 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
         return left_divide_partial(m, lam[q], v)
 
     def suspects():
-        """Each ``(kind, members, letter index, key, padding)`` that the class
-        ids and left-gcds show to hold a consistency defect, in scan order."""
-        # TOT: a nowhere-defined class with a defined extension, or merged
-        # rows whose extensions differ; definedness names the suffix.
+        """Each ``(kind, members, letter index, keys, padding)`` that the class
+        ids and left-gcds show to hold a consistency defect, in scan order;
+        ``keys(q, q·a)`` iterates the keys of the ``q·a`` cells in ``T`` order."""
+        # TOT: a nowhere-defined class with a defined extension, or merged rows
+        # whose extensions differ; definedness names the suffix, read from the
+        # reduced rows, since a reduced cell is ``⊥`` exactly when its raw cell is.
         for state, members in classes.items():
             bottom = state == BOTTOM
             if not bottom and len(members) == 1:
@@ -234,12 +236,13 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
                 ids = {cls[ext[q][i]] for q in members}
                 if len(ids) > 1 or (bottom and ids != {BOTTOM}):
                     pad = (False,) if bottom else ()
-                    yield DefectKind.TOT, members, i, lambda q, v: v is not None, pad
+                    yield DefectKind.TOT, members, i, lambda q, qa: (v is not None for v in row(qa)), pad
         # INV: the row left-gcd must left-divide the extension's left-gcd.
         for q in table.prefixes:
             for i, qa in enumerate(ext[q]):
                 if lam[q] is not None and not divisible(q, lam[qa]):
-                    yield DefectKind.INV, (q,), i, divisible, (True,)
+                    keys = lambda q, qa: (divisible(q, values[qa + t]) for t in suffixes)
+                    yield DefectKind.INV, (q,), i, keys, (True,)
         # INJ: merged rows must agree on the extension's class and on the
         # quotient of the two left-gcds.
         for state, members in classes.items():
@@ -247,14 +250,15 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
                 continue
             for i in range(len(alphabet)):
                 if len({(cls[ext[q][i]], quotient(q, lam[ext[q][i]])) for q in members}) > 1:
-                    yield DefectKind.INJ, members, i, quotient, ()
+                    keys = lambda q, qa: (quotient(q, values[qa + t]) for t in suffixes)
+                    yield DefectKind.INJ, members, i, keys, ()
 
     # One suffix search names every consistency defect: the first ``t`` at
-    # which the key of the members' cells ``values[q·a·t]`` and the padding
-    # take two values.
-    for kind, members, i, key, pad in suspects():
-        for t in table.suffixes:
-            if len({*pad, *(key(q, values[ext[q][i] + t]) for q in members)}) > 1:
+    # which the key of the members' cells and the padding take two values.
+    for kind, members, i, keys, pad in suspects():
+        columns = zip(*(keys(q, ext[q][i]) for q in members))
+        for t, column in zip(suffixes, columns):
+            if len({*pad, *column}) > 1:
                 return Defect(kind, (alphabet[i],) + t)
     return None
 
@@ -353,13 +357,9 @@ def learn(
         stats.membership_queries = len(table.values)
         stats.q_updates, stats.t_updates = len(table.prefixes) - 1, len(table.suffixes) - 1
         if len(table.prefixes) > limits.max_q:
-            raise BudgetExceeded(
-                f"prefix set grew past the cap of {limits.max_q}", stats, table
-            )
+            raise BudgetExceeded(f"prefix set grew past the cap of {limits.max_q}", stats, table)
         if stats.loop_iterations > limits.max_iterations:
-            raise BudgetExceeded(
-                f"exceeded {limits.max_iterations} loop iterations", stats, table
-            )
+            raise BudgetExceeded(f"exceeded {limits.max_iterations} loop iterations", stats, table)
 
     table.fill(membership)
     while True:

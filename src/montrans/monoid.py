@@ -146,7 +146,11 @@ class Monoid:
         return {"kind": self.kind, **{f: _wire(getattr(self, f)) for f in self.fields}}
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, Monoid) and self.to_wire() == other.to_wire())
+        return self is other or (
+            isinstance(other, Monoid)
+            and (self.kind, self.fields) == (other.kind, other.fields)
+            and all(getattr(self, f) == getattr(other, f) for f in self.fields)
+        )
 
     def __hash__(self):
         return hash(self.kind)

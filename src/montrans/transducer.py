@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import Optional
 
 from .errors import SchemaError, UnknownLetter
@@ -161,7 +162,7 @@ class Transducer:
 
     def serialize(self) -> str:
         """Canonical JSON text; round-trips byte-identically."""
-        return json.dumps(self.to_doc(), ensure_ascii=False, indent=2) + "\n"
+        return _json_text(self.to_doc()) + "\n"
 
     def to_dot(self) -> str:
         """Deterministic Graphviz digraph of the machine.
@@ -200,6 +201,36 @@ class Transducer:
 
     def __repr__(self):
         return f"Transducer({len(self.states)} states, {self.monoid.kind})"
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=2)`` for trees of dicts
+    with string keys, lists, tuples, strings, ints, bools and ``None``.
+
+    The stdlib runs its pure-Python encoder whenever ``indent`` is set; here
+    only the layout is Python.  Strings are encoded by ``json``'s C
+    ``encode_basestring``, ints by ``int.__repr__`` as ``json`` does, and
+    other scalars by compact ``json.dumps``.  ``indent`` is the line break
+    and indentation of the line that ``value`` starts on.
+    """
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _dot_quote(text: str) -> str:

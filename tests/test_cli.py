@@ -129,6 +129,29 @@ def test_minimize_emit_stages(tmp_path):
     assert dot.startswith("digraph transducer {")
 
 
+def _stdlib_rendering(text: str) -> str:
+    return json.dumps(json.loads(text), ensure_ascii=False, indent=2) + "\n"
+
+
+def test_documents_are_the_stdlib_rendering(tmp_path, capsys):
+    """Machines, stage files, witnesses and ``--stats`` are byte for byte
+    ``json.dumps(doc, ensure_ascii=False, indent=2)`` and a newline."""
+    out = tmp_path / "m.json"
+    assert main(["minimize", "--machine", BETA_LOOP, "-o", str(out), "--emit-stages"]) == 0
+    for suffix in ("", ".reach.json", ".total.json", ".prefix.json", ".witnesses.json"):
+        text = Path(str(out) + suffix).read_text(encoding="utf-8")
+        assert text == _stdlib_rendering(text), suffix
+    learned = tmp_path / "learned.json"
+    assert main(["learn", "--target", TARGET, "-o", str(learned), "--stats"]) == 0
+    stats = capsys.readouterr().out
+    assert stats == _stdlib_rendering(stats)
+    text = learned.read_text(encoding="utf-8")
+    assert text == _stdlib_rendering(text)
+    assert main(["learn", "--target", TARGET, "-o", str(learned), "--max-iterations", "1", "--stats"]) == 4
+    stats = capsys.readouterr().out
+    assert stats == _stdlib_rendering(stats)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -13,6 +13,7 @@ from montrans import (
     FreeMonoid,
     InternalInconsistency,
     LearnLimits,
+    NatAddMonoid,
     ObservationTable,
     TraceMonoid,
     Transducer,
@@ -35,7 +36,7 @@ from montrans import (
 import montrans.learner
 from montrans.learner import BOTTOM, EMPTY, Defect
 
-from helpers import learning_target, load_machine, random_machine, standard_monoids
+from helpers import chain, learning_target, load_machine, random_machine, standard_monoids
 
 
 @pytest.fixture
@@ -262,6 +263,56 @@ def test_row_level_defect_search_matches_cell_scan(monkeypatch):
     for target in targets:
         learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
     assert all(seen[kind] > 0 for kind in DefectKind), seen
+
+
+#: Reads of ``table.values`` by ``find_defect`` over a whole run on
+#: ``chain(nat-add, n, n // 4, reset)``, keyed by ``(n, reset)``, as counted
+#: for the four separate scans that one suffix search replaced.  They read
+#: none: TOT names its suffix from the reduced rows, and no INV or INJ defect
+#: occurs on these chains.
+CHAIN_VALUE_READS = {(50, False): 0, (50, True): 0, (100, False): 0, (100, True): 0}
+
+
+@pytest.mark.parametrize("reset", [False, True], ids=["plain", "reset"])
+@pytest.mark.parametrize("n", [50, 100])
+def test_defect_search_reads_few_cells_on_chains(monkeypatch, n, reset):
+    """Naming defects costs at most 1.1 times the four scans' cell reads.
+    A raw cell's word is as long as its prefix, so every read builds and
+    hashes a word of up to ``n`` letters."""
+    reads = 0
+
+    class CountingValues(dict):
+        def __getitem__(self, word):
+            nonlocal reads
+            reads += 1
+            return super().__getitem__(word)
+
+        def get(self, word, default=None):
+            nonlocal reads
+            reads += 1
+            return super().get(word, default)
+
+    real = find_defect
+
+    def counted_find_defect(table):
+        values = table.values
+        table.values = CountingValues(values)
+        try:
+            return real(table)
+        finally:
+            table.values = values
+
+    monkeypatch.setattr(montrans.learner, "find_defect", counted_find_defect)
+    kinds = Counter()
+
+    def observe(event, payload):
+        if event == "defect":
+            kinds[payload.kind] += 1
+
+    target = chain(NatAddMonoid(), n, n // 4, reset)
+    learn(target.monoid, target.alphabet, membership_oracle(target), equivalence_oracle(target), observer=observe)
+    assert kinds[DefectKind.TOT] > 0, kinds
+    assert reads <= 1.1 * CHAIN_VALUE_READS[n, reset]
 
 
 # -- the worked learning run ----------------------------------------------------

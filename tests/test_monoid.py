@@ -13,6 +13,7 @@ from montrans import (
     CyclicGroup,
     FreeMonoid,
     MalformedElement,
+    NatAddMonoid,
     NotDivisible,
     NotInvertible,
     TraceMonoid,
@@ -103,6 +104,38 @@ def test_trace_monoids_differ_by_commutations():
     free = TraceMonoid(("α", "β"), [])
     assert commuting != free
     assert commuting == TraceMonoid(("α", "β"), [("β", "α")])
+
+
+def test_monoid_equality_table():
+    gens = ("α", "β", "γ", "δ")
+    equal = [
+        (TraceMonoid(gens, [("α", "β"), ("γ", "δ")]), TraceMonoid(gens, [("δ", "γ"), ("β", "α")])),
+        (TraceMonoid(gens, [("α", "β")]), TraceMonoid(gens, [("β", "α"), ("α", "β")])),
+        (FreeMonoid(("α", "β")), FreeMonoid(["α", "β"])),
+        (NatAddMonoid(), NatAddMonoid()),
+        (CyclicGroup(3), CyclicGroup(3)),
+    ]
+    for left, right in equal:
+        assert left == right and right == left and not left != right
+        assert hash(left) == hash(right)
+    unequal = [
+        (CyclicGroup(3), CyclicGroup(4)),
+        (FreeMonoid(("α", "β")), FreeMonoid(("β", "α"))),
+        (TraceMonoid(("α", "β"), []), TraceMonoid(("β", "α"), [])),
+        (TraceMonoid(gens, [("α", "β")]), TraceMonoid(gens, [("α", "γ")])),
+        (FreeMonoid(("α", "β")), CommutativeMonoid(("α", "β"))),
+        (FreeMonoid(("α", "β")), TraceMonoid(("α", "β"), [])),
+        (NatAddMonoid(), CyclicGroup(1)),
+    ]
+    for left, right in unequal:
+        assert left != right and right != left and not left == right
+    names = list(MONOIDS)
+    for a in names:
+        for b in names:
+            assert (MONOIDS[a] == MONOIDS[b]) == (a == b)
+    for monoid in MONOIDS.values():
+        for other in (None, monoid.kind, monoid.to_wire(), tuple(monoid.to_wire().values())):
+            assert monoid != other and not monoid == other
 
 
 def test_monoid_from_wire_errors():

@@ -289,6 +289,39 @@ def test_golden_files_round_trip():
     ):
         machine = load_machine(name)
         assert deserialize(machine.serialize()) == machine
+        assert machine.serialize() == (DATA / name).read_text(encoding="utf-8")
+
+
+#: Characters the JSON writer must escape, or must write as they are.
+AWKWARD_CHARACTERS = '"\\/\x00\x08\t\n\x1f\x7f é α ⊥ \u2028 \ud800 😀'
+
+json_trees = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text(st.characters() | st.sampled_from(AWKWARD_CHARACTERS), max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(st.sampled_from(AWKWARD_CHARACTERS + "ab"), max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(json_trees)
+def test_json_text_matches_stdlib_indent(tree):
+    """The writer behind every document is the stdlib's indented rendering."""
+    assert montrans.transducer._json_text(tree) == json.dumps(tree, ensure_ascii=False, indent=2)
+
+
+def test_serialize_matches_stdlib_indent():
+    rng = random.Random(72)
+    for monoid in standard_monoids().values():
+        for _ in range(10):
+            machine = random_machine(monoid, rng, max_states=4, alphabet=("a", "b"))
+            expected = json.dumps(machine.to_doc(), ensure_ascii=False, indent=2) + "\n"
+            assert machine.serialize() == expected
 
 
 def test_deserialize_schema_errors(machine, tmp_path):
