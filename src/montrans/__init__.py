@@ -16,7 +16,6 @@ from .errors import (
     MalformedElement,
     MontransError,
     NotDivisible,
-    NotInvertible,
     NotMinimalInput,
     SchemaError,
     SearchBoundExceeded,

@@ -11,10 +11,6 @@ class NotDivisible(MontransError):
     """Left division failed: the divisor is not a left factor of the value."""
 
 
-class NotInvertible(MontransError):
-    """Inverse requested for an element outside the invertible subgroup."""
-
-
 class UnknownGenerator(MontransError):
     """An element references a generator the monoid does not declare."""
 

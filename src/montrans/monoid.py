@@ -200,12 +200,16 @@ class _WordMonoid(_GeneratedMonoid):
     def encode(self, x: Element):
         return list(x)
 
+    def canonical(self, payload):
+        word = tuple(payload)
+        for g in word:
+            self._check_letter(g)
+        return word
+
     def decode(self, value) -> Element:
         if not isinstance(value, list) or not all(isinstance(g, str) for g in value):
             raise MalformedElement(f"expected an array of generator names, got {value!r}")
-        for g in value:
-            self._check_letter(g)
-        return self.canonical(tuple(value))
+        return self.canonical(value)
 
 
 class FreeMonoid(_WordMonoid):
@@ -226,12 +230,6 @@ class FreeMonoid(_WordMonoid):
         if x[: len(d)] != d:
             raise NotDivisible(f"{self.render(d)} does not left-divide {self.render(x)}")
         return x[len(d) :]
-
-    def canonical(self, payload):
-        word = tuple(payload)
-        for g in word:
-            self._check_letter(g)
-        return word
 
 
 class TraceMonoid(_WordMonoid):
@@ -334,10 +332,7 @@ class TraceMonoid(_WordMonoid):
         return self._normalize(rest_x)
 
     def canonical(self, payload):
-        word = tuple(payload)
-        for g in word:
-            self._check_letter(g)
-        return self._normalize(word)
+        return self._normalize(super().canonical(payload))
 
 
 class CommutativeMonoid(_GeneratedMonoid):

@@ -1,4 +1,13 @@
-"""Shared machines, corpora and brute-force oracles for the test suite."""
+"""Shared machines, corpora and brute-force oracles for the test suite.
+
+The random generators the benchmark times live in ``bench/workloads.py``,
+and the tests draw from that one copy: ``standard_monoids``,
+``random_element`` and ``random_machine``, the pair-building steps
+``_rename``, ``_split_state`` and ``_shift_outputs``, and the configuration
+step ``_step``.  One copy means the tests check the machines the
+benchmark times, and ``tests/test_acceptance.py`` pins the SHA-256 of the
+corpora they draw, so an edit that changes a draw fails a test.
+"""
 
 from __future__ import annotations
 
@@ -6,20 +15,19 @@ import random
 from pathlib import Path
 
 from montrans import (
-    CommutativeMonoid,
     CyclicGroup,
     FreeMonoid,
     Monoid,
     NatAddMonoid,
-    NotInvertible,
+    NotDivisible,
     TraceMonoid,
     Transducer,
     UnknownLetter,
     deserialize,
-    lgcd_family,
     make_monoid,
     mul_partial,
 )
+from workloads import _rename, _shift_outputs, _split_state, _step, random_machine
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,22 +36,11 @@ def load_machine(name: str) -> Transducer:
     return deserialize((DATA / name).read_text(encoding="utf-8"))
 
 
-def standard_monoids() -> dict[str, Monoid]:
-    """One representative of each shipped monoid family."""
-    return {
-        "free": FreeMonoid(("α", "β", "γ")),
-        "trace": TraceMonoid(("α", "β", "γ"), [("α", "β")]),
-        "commutative": CommutativeMonoid(("α", "β")),
-        "nat-add": NatAddMonoid(),
-        "cyclic-group": CyclicGroup(3),
-    }
-
-
 def inverse(monoid: Monoid, x):
-    """The inverse of ``x``; raises :class:`NotInvertible` unless ``x`` is
-    invertible."""
+    """The inverse of ``x``; raises :class:`NotDivisible` unless ``x`` is
+    invertible, that is, unless it left-divides the unit."""
     if not monoid.is_invertible(x):
-        raise NotInvertible(f"{monoid.render(x)} is not invertible in {monoid!r}")
+        raise NotDivisible(f"{monoid.render(x)} does not left-divide the unit in {monoid!r}")
     if isinstance(monoid, CyclicGroup):
         return (-x) % monoid.modulus
     return monoid.unit()
@@ -120,51 +117,6 @@ def words_up_to(alphabet: tuple[str, ...], n: int):
             frontier.extend(w + (a,) for a in alphabet)
 
 
-def random_element(monoid: Monoid, rng: random.Random, max_rank: int = 2):
-    if isinstance(monoid, (FreeMonoid, TraceMonoid)):
-        n = rng.randint(0, max_rank)
-        return monoid.canonical(tuple(rng.choice(monoid.generators) for _ in range(n)))
-    if isinstance(monoid, CommutativeMonoid):
-        n = rng.randint(0, max_rank)
-        return monoid.canonical((rng.choice(monoid.generators), 1) for _ in range(n))
-    if isinstance(monoid, NatAddMonoid):
-        return rng.randint(0, max_rank)
-    if isinstance(monoid, CyclicGroup):
-        return rng.randrange(monoid.modulus)
-    raise TypeError(f"no element generator for {monoid!r}")
-
-
-def random_machine(
-    monoid: Monoid,
-    rng: random.Random,
-    max_states: int = 6,
-    max_letters: int = 3,
-    allow_no_initial: bool = True,
-    alphabet: tuple[str, ...] | None = None,
-) -> Transducer:
-    n = rng.randint(1, max_states)
-    if alphabet is None:
-        alphabet = ("a", "b", "c")[: rng.randint(1, max_letters)]
-    states = tuple(f"s{i}" for i in range(n))
-    transitions = {}
-    for s in states:
-        for a in alphabet:
-            if rng.random() < 0.8:
-                transitions[(s, a)] = (random_element(monoid, rng), rng.choice(states))
-    termination = {s: random_element(monoid, rng) if rng.random() < 0.7 else None for s in states}
-    initial = None
-    if not allow_no_initial or rng.random() < 0.95:
-        initial = (random_element(monoid, rng), rng.choice(states))
-    return Transducer(
-        monoid=monoid,
-        alphabet=alphabet,
-        states=states,
-        initial=initial,
-        termination=termination,
-        transitions=transitions,
-    )
-
-
 def rank_one(monoid: Monoid, i: int):
     """The ``i``-th of a fixed cycle of rank-one elements (for a cyclic
     group: of non-unit residues)."""
@@ -225,11 +177,6 @@ def _pair_key(monoid: Monoid, c1, c2):
     return (c1[1], c2[1], monoid.left_divide(g, c1[0]), monoid.left_divide(g, c2[0]))
 
 
-def _step_config(t: Transducer, config, letter):
-    step = None if config is None else t.transitions.get((config[1], letter))
-    return None if step is None else (t.monoid.mul(config[0], step[0]), step[1])
-
-
 def equivalence_certificate_faults(t1: Transducer, t2: Transducer, keys) -> list[str]:
     """Why ``keys`` does not prove ``t1`` and ``t2`` equivalent.
 
@@ -263,95 +210,10 @@ def equivalence_certificate_faults(t1: Transducer, t2: Transducer, keys) -> list
                 faults.append(f"{key!r}: the terminations differ")
             c1, c2 = (a, s1), (b, s2)
         for letter in t1.alphabet:
-            n1, n2 = _step_config(t1, c1, letter), _step_config(t2, c2, letter)
+            n1, n2 = _step(t1, c1, letter), _step(t2, c2, letter)
             if (n1 is not None or n2 is not None) and _pair_key(m, n1, n2) not in keys:
                 faults.append(f"{key!r}: the successor on {letter!r} is missing")
     return faults
-
-
-def _rename(t: Transducer, rng: random.Random) -> Transducer:
-    order = list(range(len(t.states)))
-    rng.shuffle(order)
-    names = {s: f"r{order[i]}" for i, s in enumerate(t.states)}
-    return Transducer(
-        monoid=t.monoid,
-        alphabet=t.alphabet,
-        states=tuple(names[s] for s in t.states),
-        initial=None if t.initial is None else (t.initial[0], names[t.initial[1]]),
-        termination={names[s]: v for s, v in t.termination.items()},
-        transitions={(names[s], a): (out, names[d]) for (s, a), (out, d) in t.transitions.items()},
-    )
-
-
-def _split_state(t: Transducer, rng: random.Random) -> Transducer:
-    """Duplicate one state and reroute a random subset of its incoming edges."""
-    victim = rng.choice(t.states)
-    twin = victim + "'"
-    while twin in t.states:
-        twin += "'"
-    transitions = {}
-    for (s, a), (out, target) in t.transitions.items():
-        transitions[(s, a)] = (out, twin if target == victim and rng.random() < 0.5 else target)
-    for a in t.alphabet:
-        if (victim, a) in t.transitions:
-            transitions[(twin, a)] = transitions[(victim, a)]
-    initial = t.initial
-    if initial is not None and initial[1] == victim and rng.random() < 0.5:
-        initial = (initial[0], twin)
-    termination = dict(t.termination)
-    termination[twin] = termination[victim]
-    return Transducer(
-        monoid=t.monoid,
-        alphabet=t.alphabet,
-        states=t.states + (twin,),
-        initial=initial,
-        termination=termination,
-        transitions=transitions,
-    )
-
-
-def _shift_outputs(t: Transducer, rng: random.Random) -> Transducer:
-    """Language-preserving output shifts.
-
-    For each chosen state, the common left factor of its termination and
-    outgoing outputs is moved onto the incoming edges (for a cyclic group a
-    random group element is moved instead, division being total there).
-    """
-    m = t.monoid
-    termination = dict(t.termination)
-    transitions = dict(t.transitions)
-    initial = t.initial
-    for s in t.states:
-        if rng.random() < 0.5:
-            continue
-        local = [termination[s]] + [
-            transitions[(s, a)][0] for a in t.alphabet if (s, a) in transitions
-        ]
-        if isinstance(m, CyclicGroup):
-            g = rng.randrange(m.modulus)
-        else:
-            g = lgcd_family(m, local)
-            if g is None or m.is_invertible(g):
-                continue
-        if termination[s] is not None:
-            termination[s] = m.left_divide(g, termination[s])
-        for a in t.alphabet:
-            if (s, a) in transitions:
-                out, target = transitions[(s, a)]
-                transitions[(s, a)] = (m.left_divide(g, out), target)
-        for key, (out, target) in list(transitions.items()):
-            if target == s:
-                transitions[key] = (m.mul(out, g), target)
-        if initial is not None and initial[1] == s:
-            initial = (m.mul(initial[0], g), s)
-    return Transducer(
-        monoid=m,
-        alphabet=t.alphabet,
-        states=t.states,
-        initial=initial,
-        termination=termination,
-        transitions=transitions,
-    )
 
 
 def equivalent_pair(monoid: Monoid, rng: random.Random) -> tuple[Transducer, Transducer]:

@@ -33,16 +33,8 @@ from montrans import (
     state_lgcds,
 )
 
-from helpers import (
-    beta_loop,
-    brute_trace_lgcd,
-    equivalent_pair,
-    learning_target,
-    load_machine,
-    random_element,
-    random_machine,
-    standard_monoids,
-)
+from helpers import beta_loop, brute_trace_lgcd, equivalent_pair, learning_target, load_machine
+from workloads import random_element, random_machine, standard_monoids
 
 
 @contextmanager
@@ -81,15 +73,16 @@ def learning_corpus():
 @pytest.fixture(scope="module")
 def pair_corpus():
     """≥ 100 equivalent machine pairs built by state splitting and output
-    shifting, with their minimized forms."""
+    shifting, with their minimized forms, and the pairs as drawn."""
     rng = random.Random(9002)
-    pairs = []
+    pairs, drawn = [], []
     start = time.monotonic()
     for kind, monoid in standard_monoids().items():
         for _ in range(20):
             left, right = equivalent_pair(monoid, rng)
+            drawn += [left, right]
             pairs.append((kind, minimize(left).minimal, minimize(right).minimal))
-    return pairs, time.monotonic() - start
+    return pairs, drawn, time.monotonic() - start
 
 
 # -- criteria -----------------------------------------------------------------
@@ -231,7 +224,7 @@ def test_criterion_5_learner_cross_validation(learning_corpus):
 
 
 def test_criterion_6_canonical_minimality(pair_corpus):
-    pairs, build_elapsed = pair_corpus
+    pairs, _, build_elapsed = pair_corpus
     with criterion(6, "≥100 equivalent machine pairs minimize to isomorphic results"):
         start = time.monotonic()
         assert len(pairs) == 100
@@ -271,7 +264,7 @@ def test_criterion_7_query_bounds(learning_corpus):
 
 
 def test_criterion_8_oracle_consistency(pair_corpus):
-    pairs, _ = pair_corpus
+    pairs, _, _ = pair_corpus
     with criterion(8, "iso_check agrees with brute force; counterexamples verify"):
         rng = random.Random(9003)
         checked = list(pairs)
@@ -323,6 +316,13 @@ def test_learner_query_counts_on_corpus(learning_corpus):
     assert totals == CORPUS_QUERY_TOTALS
 
 
+def _sha256(machines) -> str:
+    digest = hashlib.sha256()
+    for machine in machines:
+        digest.update(machine.serialize().encode())
+    return digest.hexdigest()
+
+
 #: SHA-256 of the serialized machines learned on ``learning_corpus``, in
 #: corpus order (measured before the observation table became incremental).
 CORPUS_MACHINES_SHA256 = "933f1b83d3410e017e2b33cfdc40cd64ba086d0286f008e7d93651a7675e8d80"
@@ -330,7 +330,20 @@ CORPUS_MACHINES_SHA256 = "933f1b83d3410e017e2b33cfdc40cd64ba086d0286f008e7d93651
 
 def test_learned_corpus_machines_unchanged(learning_corpus):
     runs, _ = learning_corpus
-    digest = hashlib.sha256()
-    for _, _, machine, _ in runs:
-        digest.update(machine.serialize().encode())
-    assert digest.hexdigest() == CORPUS_MACHINES_SHA256
+    assert _sha256(machine for _, _, machine, _ in runs) == CORPUS_MACHINES_SHA256
+
+
+#: SHA-256 of the serialized inputs of the two corpora, in draw order: the
+#: 500 targets of ``learning_corpus`` and the 100 pairs of ``pair_corpus``
+#: before minimization.  The generators are the benchmark's own
+#: (``bench/workloads.py``), so a changed draw fails here, not silently.
+CORPUS_TARGETS_SHA256 = "ab720965b09e84012455c4f9428eb07fd4ebd208c64be5797fca017c16c12f72"
+PAIR_INPUTS_SHA256 = "56d6f124f6acca8da78b97a29e11dd283a183a47265b9f333ec8fde0ea2691e8"
+
+
+def test_corpus_inputs_unchanged(learning_corpus, pair_corpus):
+    runs, _ = learning_corpus
+    _, drawn, _ = pair_corpus
+    assert (len(runs), len(drawn)) == (500, 200)
+    assert _sha256(target for _, target, _, _ in runs) == CORPUS_TARGETS_SHA256
+    assert _sha256(drawn) == PAIR_INPUTS_SHA256

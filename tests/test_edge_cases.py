@@ -19,7 +19,8 @@ from montrans import (
 )
 from montrans.oracle import _walk
 
-from helpers import learning_target, standard_monoids
+from helpers import learning_target
+from workloads import standard_monoids
 
 
 class _NeverStable(NatAddMonoid):

@@ -36,7 +36,8 @@ from montrans import (
 import montrans.learner
 from montrans.learner import BOTTOM, EMPTY, Defect
 
-from helpers import chain, learning_target, load_machine, random_machine, standard_monoids
+from helpers import chain, learning_target, load_machine
+from workloads import random_machine, standard_monoids
 
 
 @pytest.fixture
@@ -265,20 +266,11 @@ def test_row_level_defect_search_matches_cell_scan(monkeypatch):
     assert all(seen[kind] > 0 for kind in DefectKind), seen
 
 
-#: Reads of ``table.values`` by ``find_defect`` over a whole run on
-#: ``chain(nat-add, n, n // 4, reset)``, keyed by ``(n, reset)``, as counted
-#: for the four separate scans that one suffix search replaced.  They read
-#: none: TOT names its suffix from the reduced rows, and no INV or INJ defect
-#: occurs on these chains.
-CHAIN_VALUE_READS = {(50, False): 0, (50, True): 0, (100, False): 0, (100, True): 0}
-
-
-@pytest.mark.parametrize("reset", [False, True], ids=["plain", "reset"])
-@pytest.mark.parametrize("n", [50, 100])
-def test_defect_search_reads_few_cells_on_chains(monkeypatch, n, reset):
-    """Naming defects costs at most 1.1 times the four scans' cell reads.
-    A raw cell's word is as long as its prefix, so every read builds and
-    hashes a word of up to ``n`` letters."""
+def defect_search_reads(monkeypatch, target: Transducer) -> tuple[int, Counter]:
+    """Reads of ``table.values`` by ``find_defect`` while ``target`` is
+    learned, and the kinds of the defects named.  A raw cell's word is as
+    long as its prefix, so every read builds and hashes a word of up to
+    ``|Q|`` letters."""
     reads = 0
 
     class CountingValues(dict):
@@ -309,10 +301,49 @@ def test_defect_search_reads_few_cells_on_chains(monkeypatch, n, reset):
         if event == "defect":
             kinds[payload.kind] += 1
 
-    target = chain(NatAddMonoid(), n, n // 4, reset)
     learn(target.monoid, target.alphabet, membership_oracle(target), equivalence_oracle(target), observer=observe)
+    return reads, kinds
+
+
+#: Reads of ``table.values`` by ``find_defect`` over a whole run on
+#: ``chain(nat-add, n, n // 4, reset)``, keyed by ``(n, reset)``, as counted
+#: for the four separate scans that one suffix search replaced.  They read
+#: none: TOT names its suffix from the reduced rows, and no INV or INJ defect
+#: occurs on these chains.
+CHAIN_VALUE_READS = {(50, False): 0, (50, True): 0, (100, False): 0, (100, True): 0}
+#: The same on the free monoid's chains, which make one INV defect, or two
+#: with ``reset``, as counted for the one suffix search before this gate.
+FREE_CHAIN_VALUE_READS = {(50, False): 38, (50, True): 76, (100, False): 75, (100, True): 150}
+#: Target 15 of the acceptance learning corpus (seed 9001) is the first whose
+#: run makes an INJ defect; the reads, counted the same way, and the index.
+CORPUS_INJ_READS, CORPUS_INJ_TARGET = 3, 15
+
+
+@pytest.mark.parametrize("reset", [False, True], ids=["plain", "reset"])
+@pytest.mark.parametrize("n", [50, 100])
+def test_defect_search_reads_few_cells_on_chains(monkeypatch, n, reset):
+    """Naming TOT defects costs at most 1.1 times the four scans' reads."""
+    reads, kinds = defect_search_reads(monkeypatch, chain(NatAddMonoid(), n, n // 4, reset))
     assert kinds[DefectKind.TOT] > 0, kinds
     assert reads <= 1.1 * CHAIN_VALUE_READS[n, reset]
+
+
+@pytest.mark.parametrize("reset", [False, True], ids=["plain", "reset"])
+@pytest.mark.parametrize("n", [50, 100])
+def test_inv_naming_reads_few_cells_on_free_chains(monkeypatch, n, reset):
+    reads, kinds = defect_search_reads(monkeypatch, chain(standard_monoids()["free"], n, n // 4, reset))
+    assert kinds[DefectKind.INV] > 0, kinds
+    assert reads <= 1.1 * FREE_CHAIN_VALUE_READS[n, reset]
+
+
+def test_inj_naming_reads_few_cells_on_a_corpus_target(monkeypatch):
+    rng = random.Random(9001)
+    free = standard_monoids()["free"]  # the corpus's first 100 targets
+    for _ in range(CORPUS_INJ_TARGET + 1):
+        target = random_machine(free, rng, max_states=6, max_letters=3)
+    reads, kinds = defect_search_reads(monkeypatch, target)
+    assert kinds[DefectKind.INJ] > 0, kinds
+    assert reads <= 1.1 * CORPUS_INJ_READS
 
 
 # -- the worked learning run ----------------------------------------------------

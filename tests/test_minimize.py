@@ -22,15 +22,8 @@ from montrans import (
     total,
 )
 
-from helpers import (
-    beta_loop,
-    chain,
-    learning_target,
-    random_machine,
-    standard_monoids,
-    state_eval,
-    words_up_to,
-)
+from helpers import beta_loop, chain, learning_target, state_eval, words_up_to
+from workloads import random_machine, standard_monoids
 
 #: ``montrans.minimize`` names the function the package re-exports.
 minimize_module = importlib.import_module("montrans.minimize")

@@ -15,7 +15,6 @@ from montrans import (
     MalformedElement,
     NatAddMonoid,
     NotDivisible,
-    NotInvertible,
     TraceMonoid,
     UnknownGenerator,
     left_divide_partial,
@@ -27,14 +26,8 @@ from montrans import (
 )
 from montrans.errors import SchemaError
 
-from helpers import (
-    brute_trace_lgcd,
-    inverse,
-    random_element,
-    standard_monoids,
-    trace_class,
-    trace_normal_form_faults,
-)
+from helpers import brute_trace_lgcd, inverse, trace_class, trace_normal_form_faults
+from workloads import random_element, standard_monoids
 
 MONOIDS = standard_monoids()
 
@@ -169,8 +162,10 @@ def test_products():
 def test_invertibility():
     free = MONOIDS["free"]
     assert not free.is_invertible(("α",))
-    with pytest.raises(NotInvertible):
+    with pytest.raises(NotDivisible):
         inverse(free, ("α",))
+    with pytest.raises(NotDivisible):
+        free.left_divide(("α",), free.unit())
     cyclic = CyclicGroup(3)
     assert inverse(cyclic, 2) == 1
     for m in MONOIDS.values():
@@ -357,6 +352,9 @@ def test_parse_errors():
         CyclicGroup(3).parse("x")
     with pytest.raises(MalformedElement):
         MONOIDS["commutative"].decode({"α": 0})
+    for kind in ("free", "trace"):
+        with pytest.raises(UnknownGenerator, match=r"^unknown generator 'δ' \(declared: α, β, γ\)$"):
+            MONOIDS[kind].decode(["β", "δ"])
 
 
 def test_parse_unit_spellings(monoid):

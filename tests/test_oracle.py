@@ -36,13 +36,11 @@ from helpers import (
     equivalent_pair,
     learning_target,
     load_machine,
-    random_element,
-    random_machine,
     rank_one,
-    standard_monoids,
     state_eval,
     words_up_to,
 )
+from workloads import random_element, random_machine, standard_monoids
 
 
 def test_membership_oracle_examples():

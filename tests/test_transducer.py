@@ -32,17 +32,8 @@ from montrans import (
 
 from montrans.cli import main
 
-from helpers import (
-    DATA,
-    beta_loop,
-    chain,
-    load_machine,
-    random_element,
-    random_machine,
-    standard_monoids,
-    state_eval,
-    words_up_to,
-)
+from helpers import DATA, beta_loop, chain, load_machine, state_eval, words_up_to
+from workloads import random_element, random_machine, standard_monoids
 
 
 @pytest.fixture
