@@ -55,36 +55,19 @@ class Transducer:
     transitions: dict[tuple[str, str], tuple[Element, str]] = field(default_factory=dict)
 
     def __post_init__(self):
-        state_set = set(self.states)
-        if len(state_set) != len(self.states):
-            raise ValueError("duplicate state ids")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("duplicate alphabet letters")
-        if any(not isinstance(a, str) or not a or SEP in a for a in self.alphabet):
-            raise ValueError(f"letters must be non-empty strings without {SEP!r}")
-        if any(not isinstance(s, str) or not s for s in self.states):
-            raise ValueError("state ids must be non-empty strings")
-        if self.initial is not None and self.initial[1] not in state_set:
-            raise ValueError(f"initial state {self.initial[1]!r} is not declared")
-        term = {s: self.termination.get(s) for s in self.states}
-        for s in self.termination:
-            if s not in state_set:
-                raise ValueError(f"termination references unknown state {s!r}")
-        for s, v in term.items():
-            if v is not None and self.monoid.canonical(v) != v:
-                raise ValueError(f"non-canonical termination value on {s!r}")
-        object.__setattr__(self, "termination", term)
-        for (s, a), (out, target) in self.transitions.items():
-            if s not in state_set:
-                raise ValueError(f"transition from unknown state {s!r}")
-            if a not in self.alphabet:
-                raise ValueError(f"transition on unknown letter {a!r}")
-            if target not in state_set:
-                raise ValueError(f"transition into unknown state {target!r}")
-            if self.monoid.canonical(out) != out:
-                raise ValueError(f"non-canonical output on {s!r} --{a}-->")
-        if self.initial is not None and self.monoid.canonical(self.initial[0]) != self.initial[0]:
-            raise ValueError("non-canonical initial value")
+        fault = _structural_fault(self.alphabet, self.states, self.initial, self.termination, self.transitions)
+        if fault is not None:
+            raise ValueError(f"{fault[0]}: {fault[1]}")
+        canonical = self.monoid.canonical
+        if self.initial is not None and canonical(self.initial[0]) != self.initial[0]:
+            raise ValueError("initial.value: non-canonical element")
+        for s, v in self.termination.items():
+            if v is not None and canonical(v) != v:
+                raise ValueError(f"termination.{s}: non-canonical element")
+        for i, (out, _) in enumerate(self.transitions.values()):
+            if canonical(out) != out:
+                raise ValueError(f"transitions[{i}].output: non-canonical element")
+        object.__setattr__(self, "termination", {s: self.termination.get(s) for s in self.states})
 
     # -- evaluation --------------------------------------------------------
 
@@ -134,16 +117,12 @@ class Transducer:
 
     def to_doc(self) -> dict:
         m = self.monoid
+        steps = self.transitions
         transitions = [
-            {
-                "from": s,
-                "letter": a,
-                "output": m.encode(self.transitions[(s, a)][0]),
-                "to": self.transitions[(s, a)][1],
-            }
+            {"from": s, "letter": a, "output": m.encode(steps[s, a][0]), "to": steps[s, a][1]}
             for s in self.states
             for a in self.alphabet
-            if (s, a) in self.transitions
+            if (s, a) in steps
         ]
         return {
             "format_version": FORMAT_VERSION,
@@ -153,10 +132,7 @@ class Transducer:
             "initial": None
             if self.initial is None
             else {"value": m.encode(self.initial[0]), "state": self.initial[1]},
-            "termination": {
-                s: None if self.termination[s] is None else m.encode(self.termination[s])
-                for s in self.states
-            },
+            "termination": {s: None if v is None else m.encode(v) for s, v in self.termination.items()},
             "transitions": transitions,
         }
 
@@ -238,27 +214,58 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _structural_fault(alphabet, states, initial, termination, transitions) -> Optional[tuple[str, str]]:
+    """The first structural rule the parts of a machine break, as ``(path,
+    message)`` with ``path`` in document form, or ``None``.  ``Transducer``
+    and ``deserialize`` both check structure here only.  ``initial`` and the
+    values of ``transitions`` are pairs that end in a state."""
+    for i, a in enumerate(alphabet):
+        if not isinstance(a, str) or not a:
+            return f"alphabet[{i}]", "letters must be non-empty strings"
+        if SEP in a:
+            return f"alphabet[{i}]", f"letters must not contain {SEP!r}"
+    letters = set(alphabet)
+    if len(letters) != len(alphabet):
+        return "alphabet", "duplicate letters"
+    for i, s in enumerate(states):
+        if not isinstance(s, str) or not s:
+            return f"states[{i}]", "state ids must be non-empty strings"
+    state_set = set(states)
+    if len(state_set) != len(states):
+        return "states", "duplicate state ids"
+    if initial is not None and initial[1] not in state_set:
+        return "initial.state", f"unknown state {initial[1]!r}"
+    for s in termination:
+        if s not in state_set:
+            return f"termination.{s}", f"unknown state {s!r}"
+    for i, ((s, a), (_, target)) in enumerate(transitions.items()):
+        if s not in state_set:
+            return f"transitions[{i}].from", f"unknown state {s!r}"
+        if a not in letters:
+            return f"transitions[{i}].letter", f"unknown letter {a!r}"
+        if target not in state_set:
+            return f"transitions[{i}].to", f"unknown state {target!r}"
+    return None
+
+
 def _assemble(monoid, alphabet, states, initial, termination, transitions) -> Transducer:
     """``Transducer(...)`` without its checks, for valid canonical parts;
     ``termination`` is still completed to one entry per state."""
     machine = object.__new__(Transducer)
+    termination = {s: termination.get(s) for s in states}
     machine.__dict__.update(
-        monoid=monoid,
-        alphabet=alphabet,
-        states=states,
-        initial=initial,
-        termination={s: termination.get(s) for s in states},
-        transitions=transitions,
+        monoid=monoid, alphabet=alphabet, states=states, initial=initial, termination=termination, transitions=transitions
     )
     return machine
 
 
 def _expect(doc: dict, key: str, kind, path: str):
-    if key not in doc:
-        raise SchemaError(f"{path}.{key}", "missing field")
-    value = doc[key]
+    try:
+        value = doc[key]
+    except KeyError:
+        raise SchemaError(f"{path}.{key}", "missing field") from None
     # JSON booleans load as ``bool``, a subclass of ``int``.
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+    if kind is not None and (type(value) is bool or not isinstance(value, kind)):
         raise SchemaError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -273,12 +280,21 @@ def _decode_element(monoid: Monoid, value, path: str) -> Element:
     return element
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` that rejects a key repeated in one JSON object."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise SchemaError("$", f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def deserialize(text: str) -> Transducer:
     """Parse and validate a machine document; raises :class:`SchemaError`."""
     # ValueError covers JSONDecodeError and integers past the digit limit;
     # RecursionError, nesting deeper than the recursion limit.
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -289,59 +305,32 @@ def deserialize(text: str) -> Transducer:
     monoid = monoid_from_wire(_expect(doc, "monoid", dict, "$"), "$.monoid")
     alphabet = _expect(doc, "alphabet", list, "$")
     states = _expect(doc, "states", list, "$")
-    for i, a in enumerate(alphabet):
-        if not isinstance(a, str) or not a:
-            raise SchemaError(f"$.alphabet[{i}]", "letters must be non-empty strings")
-        if SEP in a:
-            raise SchemaError(f"$.alphabet[{i}]", f"letters must not contain {SEP!r}")
-    if len(set(alphabet)) != len(alphabet):
-        raise SchemaError("$.alphabet", "duplicate letters")
-    for i, s in enumerate(states):
-        if not isinstance(s, str) or not s:
-            raise SchemaError(f"$.states[{i}]", "state ids must be non-empty strings")
-    if len(set(states)) != len(states):
-        raise SchemaError("$.states", "duplicate state ids")
-    state_set = set(states)
-
-    raw_initial = _expect(doc, "initial", None, "$")
-    initial = None
-    if raw_initial is not None:
-        if not isinstance(raw_initial, dict):
+    initial = _expect(doc, "initial", None, "$")
+    if initial is not None:
+        if not isinstance(initial, dict):
             raise SchemaError("$.initial", "expected null or {value, state}")
-        s0 = _expect(raw_initial, "state", str, "$.initial")
-        if s0 not in state_set:
-            raise SchemaError("$.initial.state", f"unknown state {s0!r}")
-        value = _decode_element(monoid, _expect(raw_initial, "value", None, "$.initial"), "$.initial.value")
-        initial = (value, s0)
-
-    raw_term = _expect(doc, "termination", dict, "$")
-    termination: dict[str, PartialValue] = {}
-    for s, v in raw_term.items():
-        if s not in state_set:
-            raise SchemaError(f"$.termination.{s}", f"unknown state {s!r}")
-        termination[s] = None if v is None else _decode_element(monoid, v, f"$.termination.{s}")
-
-    raw_transitions = _expect(doc, "transitions", list, "$")
-    transitions: dict[tuple[str, str], tuple[Element, str]] = {}
-    for i, entry in enumerate(raw_transitions):
+        initial = (_expect(initial, "value", None, "$.initial"), _expect(initial, "state", str, "$.initial"))
+    termination = _expect(doc, "termination", dict, "$")
+    transitions = {}
+    for i, entry in enumerate(_expect(doc, "transitions", list, "$")):
         path = f"$.transitions[{i}]"
         if not isinstance(entry, dict):
             raise SchemaError(path, "expected an object")
-        s = _expect(entry, "from", str, path)
-        a = _expect(entry, "letter", str, path)
-        target = _expect(entry, "to", str, path)
-        if s not in state_set:
-            raise SchemaError(f"{path}.from", f"unknown state {s!r}")
-        if a not in alphabet:
-            raise SchemaError(f"{path}.letter", f"unknown letter {a!r}")
-        if target not in state_set:
-            raise SchemaError(f"{path}.to", f"unknown state {target!r}")
-        if (s, a) in transitions:
-            raise SchemaError(f"{path}.letter", f"duplicate transition on ({s!r}, {a!r})")
-        out = _decode_element(monoid, _expect(entry, "output", None, path), f"{path}.output")
-        transitions[(s, a)] = (out, target)
-
-    # Every field was checked above and ``decode`` canonicalizes each value.
+        key = (_expect(entry, "from", str, path), _expect(entry, "letter", str, path))
+        if key in transitions:
+            raise SchemaError(f"{path}.letter", f"duplicate transition on {key!r}")
+        transitions[key] = (_expect(entry, "output", None, path), _expect(entry, "to", str, path))
+    fault = _structural_fault(alphabet, states, initial, termination, transitions)
+    if fault is not None:
+        raise SchemaError("$." + fault[0], fault[1])
+    # Every field is checked now, and ``decode`` canonicalizes each value.
+    if initial is not None:
+        initial = (_decode_element(monoid, initial[0], "$.initial.value"), initial[1])
+    for s, v in termination.items():
+        if v is not None:
+            termination[s] = _decode_element(monoid, v, f"$.termination.{s}")
+    for i, (key, (out, target)) in enumerate(transitions.items()):
+        transitions[key] = (_decode_element(monoid, out, f"$.transitions[{i}].output"), target)
     return _assemble(monoid, tuple(alphabet), tuple(states), initial, termination, transitions)
 
 

@@ -210,17 +210,17 @@ def test_construction_validation(machine):
     unit, odd = trace.unit(), ("β", "α")  # α·β = β·α, so the normal form is α·β
     ok = dict(monoid=trace, alphabet=("a",), states=("s",), initial=(unit, "s"), termination={"s": unit})
     cases = [
-        ("duplicate alphabet letters", dict(alphabet=("a", "a"))),
-        ("letters must be non-empty strings without '·'", dict(alphabet=("",))),
-        ("letters must be non-empty strings without '·'", dict(alphabet=("a·b",))),
-        ("state ids must be non-empty strings", dict(states=("s", ""))),
-        ("state ids must be non-empty strings", dict(states=("s", 1))),
-        ("termination references unknown state 't'", dict(termination={"t": unit})),
-        ("transition from unknown state 't'", dict(transitions={("t", "a"): (unit, "s")})),
-        ("transition into unknown state 't'", dict(transitions={("s", "a"): (unit, "t")})),
-        ("non-canonical termination value on 's'", dict(termination={"s": odd})),
-        ("non-canonical output on 's' --a-->", dict(transitions={("s", "a"): (odd, "s")})),
-        ("non-canonical initial value", dict(initial=(odd, "s"))),
+        ("alphabet: duplicate letters", dict(alphabet=("a", "a"))),
+        ("alphabet[0]: letters must be non-empty strings", dict(alphabet=("",))),
+        ("alphabet[0]: letters must not contain '·'", dict(alphabet=("a·b",))),
+        ("states[1]: state ids must be non-empty strings", dict(states=("s", ""))),
+        ("states[1]: state ids must be non-empty strings", dict(states=("s", 1))),
+        ("termination.t: unknown state 't'", dict(termination={"t": unit})),
+        ("transitions[0].from: unknown state 't'", dict(transitions={("t", "a"): (unit, "s")})),
+        ("transitions[0].to: unknown state 't'", dict(transitions={("s", "a"): (unit, "t")})),
+        ("termination.s: non-canonical element", dict(termination={"s": odd})),
+        ("transitions[0].output: non-canonical element", dict(transitions={("s", "a"): (odd, "s")})),
+        ("initial.value: non-canonical element", dict(initial=(odd, "s"))),
     ]
     accepted = Transducer(**ok)
     assert deserialize(accepted.serialize()) == accepted
@@ -228,6 +228,65 @@ def test_construction_validation(machine):
         with pytest.raises(ValueError) as info:
             Transducer(**{**ok, **change})
         assert str(info.value) == message
+
+
+def _document(monoid, alphabet, states, initial, termination, transitions) -> str:
+    """The machine document that states what the constructor arguments state,
+    valid or not."""
+    encode = monoid.encode
+    return json.dumps(
+        {
+            "format_version": 1,
+            "monoid": monoid.to_wire(),
+            "alphabet": list(alphabet),
+            "states": list(states),
+            "initial": None if initial is None else {"value": encode(initial[0]), "state": initial[1]},
+            "termination": {s: None if v is None else encode(v) for s, v in termination.items()},
+            "transitions": [
+                {"from": s, "letter": a, "output": encode(out), "to": target}
+                for (s, a), (out, target) in transitions.items()
+            ],
+        }
+    )
+
+
+def test_constructor_and_deserialize_report_structural_faults_alike(machine):
+    """Each structural rule, broken once as constructor arguments and once as
+    the same document: the ``ValueError`` is the ``SchemaError`` without its
+    leading ``$.``."""
+    unit = machine.monoid.unit()
+    fields = dict(
+        monoid=machine.monoid,
+        alphabet=machine.alphabet,
+        states=machine.states,
+        initial=machine.initial,
+        termination=machine.termination,
+        transitions=machine.transitions,
+    )
+    steps = machine.transitions
+    cases = [
+        ("alphabet[1]: letters must be non-empty strings", dict(alphabet=("a", ""))),
+        ("alphabet[0]: letters must be non-empty strings", dict(alphabet=(7, "b"))),
+        ("alphabet[1]: letters must not contain '·'", dict(alphabet=("a", "b·c"))),
+        ("alphabet: duplicate letters", dict(alphabet=("a", "b", "a"))),
+        ("states[3]: state ids must be non-empty strings", dict(states=("1", "2", "3", ""))),
+        ("states[2]: state ids must be non-empty strings", dict(states=("1", "2", None, "4"))),
+        ("states: duplicate state ids", dict(states=("1", "2", "3", "4", "2"))),
+        ("initial.state: unknown state '9'", dict(initial=(unit, "9"))),
+        ("termination.9: unknown state '9'", dict(termination={**machine.termination, "9": None})),
+        ("transitions[3].from: unknown state '9'", dict(transitions={**steps, ("9", "a"): (unit, "1")})),
+        ("transitions[3].letter: unknown letter 'c'", dict(transitions={**steps, ("1", "c"): (unit, "1")})),
+        ("transitions[3].to: unknown state '9'", dict(transitions={**steps, ("4", "a"): (unit, "9")})),
+    ]
+    assert deserialize(_document(**fields)) == machine
+    for message, change in cases:
+        faulty = {**fields, **change}
+        with pytest.raises(ValueError) as constructed:
+            Transducer(**faulty)
+        with pytest.raises(SchemaError) as read:
+            deserialize(_document(**faulty))
+        assert str(constructed.value) == message
+        assert str(read.value) == "$." + message
 
 
 def test_assembled_machines_equal_checked_construction(monkeypatch):
@@ -345,6 +404,17 @@ def test_deserialize_schema_errors(machine, tmp_path):
         deserialize(doc.replace('"b"\n  ]', '"b·c"\n  ]', 1))
     with pytest.raises(SchemaError, match=r"^\$\.alphabet\[0\]: letters must not contain '·'"):
         deserialize(doc.replace('"alphabet": [\n    "a"', '"alphabet": [\n    "·"', 1))
+    # A repeated key in any object is rejected, not read as its last value.
+    duplicate_key_docs = {
+        "'4'": doc.replace('"4": []', '"4": [],\n    "4": [\n      "α"\n    ]', 1),
+        "'transitions'": doc.rstrip()[:-1] + ',\n  "transitions": []\n}\n',
+    }
+    for i, (key, text) in enumerate(duplicate_key_docs.items()):
+        with pytest.raises(SchemaError, match=rf"^\$: duplicate key {key}$"):
+            deserialize(text)
+        path = tmp_path / f"duplicate{i}.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["eval", "--machine", str(path), "b"]) == 2
 
     def with_monoid(wire):
         parsed = json.loads(doc)
