@@ -11,9 +11,10 @@ table with no closure or consistency defect assembles into a hypothesis
 machine, which an equivalence oracle either accepts or refutes with a
 counterexample word whose prefixes are then added to ``Q``.
 
-The factorization is incremental: refilling the table folds each row's
-left-gcd over its new cells only and divides only those cells, unless the
-left-gcd shrank, in which case the whole row is divided again.
+The factorization is incremental: a refill folds each row's left-gcd over
+its new cells and divides only those.  If the left-gcd shrank from ``old``
+to ``g``, each old reduced cell ``r`` becomes ``k·r`` with ``k = g\\old``,
+which is exact in a left-cancellative monoid.
 
 Residual rows are canonical: two rows that agree up to an invertible left
 factor have equal residuals.  So two prefixes have *merged rows*, and stand
@@ -32,12 +33,12 @@ Consistency defects come in three kinds, checked in a fixed order:
 Each defect is decided per row from class ids and left-gcd quotients, not
 per cell.  TOT compares the class ids of the extensions.  In a gcd monoid
 ``λ(q)`` divides every value of the ``q·a`` row exactly when it divides
-that row's left-gcd ``λ(q·a)``.  A value of the row is
-``λ(q·a) · r(q·a, t)`` and reduced rows have a unit left-gcd, so two
-merged prefixes agree on ``λ(q)\\value`` for every suffix exactly when
-they agree on ``r(q·a, ·)`` and on ``λ(q)\\λ(q·a)``.  One suffix search
-then names every consistency defect: the first suffix at which the cells
-disagree on definedness, divisibility or quotient.
+``λ(q·a)``.  Reduced rows have a unit left-gcd, so merged prefixes agree on
+``λ(q)\\f(q·a·t)`` for every ``t`` exactly when they agree on ``r(q·a, ·)``
+and on ``λ(q)\\λ(q·a)``.  One suffix search then names every consistency
+defect from the reduced cells ``r`` of ``q·a``: the first suffix at which
+the members disagree on definedness (``r`` is ``⊥``), divisibility
+(``λ(q) | λ(q·a)·r``) or quotient (``λ(q)\\(λ(q·a)·r)``).
 
 All scans run in deterministic order (``Q`` insertion order, alphabet order,
 ``T`` insertion order, closure before consistency) so runs are reproducible.
@@ -50,7 +51,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .errors import BudgetExceeded, InternalInconsistency
-from .monoid import Monoid, PartialRow, PartialValue, left_divide_partial, lgcd_family
+from .monoid import Monoid, PartialRow, PartialValue, left_divide_partial, lgcd_family, mul_partial
 from .transducer import Transducer, Word, _assemble, render_word
 
 #: Answers the target function's value on a word (``None`` for undefined).
@@ -107,9 +108,10 @@ class ObservationTable:
     consulted exactly once per distinct word, so ``len(values)`` counts
     those consultations.  Each word ``w`` of ``Q ∪ Q·A`` has one row: its left-gcd
     ``λ(w)`` in ``lam`` and its reduced row ``r(w, ·)`` as a tuple over
-    the first ``len(row)`` suffixes of ``T``.  The raw cell ``f(w·t)`` is
-    ``values[w + t]``.  ``fill`` gives each row a class id in ``class_ids``:
-    equal ids mean equal reduced rows, and ``BOTTOM`` is the ``⊥`` row's.
+    the first ``len(row)`` suffixes of ``T``.  Only ``fill`` reads
+    ``values``.  It gives each row a class id in ``class_ids`` (equal ids
+    mean equal reduced rows; ``BOTTOM`` is the ``⊥`` row's), and maps each
+    prefix class id to its prefixes, in ``Q`` order, in ``classes``.
     """
 
     def __init__(self, monoid: Monoid, alphabet: tuple[str, ...]):
@@ -120,6 +122,7 @@ class ObservationTable:
         self.values: dict[Word, PartialValue] = {}
         self.lam: dict[Word, PartialValue] = {}
         self.class_ids: dict[Word, int] = {}
+        self.classes: dict[int, list[Word]] = {}
         self._rows: dict[Word, PartialRow] = {}
         #: Each prefix's extensions ``q·a`` in alphabet order, built once.
         self._extensions: dict[Word, tuple[Word, ...]] = {EMPTY: tuple((a,) for a in self.alphabet)}
@@ -130,14 +133,13 @@ class ObservationTable:
         """Query every missing cell, extend each row's factorization and intern it.
 
         Rows are visited from the empty word through each prefix's
-        extensions ``q·a``, in ``Q`` order and alphabet order, and cells in
-        ``T`` order; every other prefix is an extension, so its row is
-        visited there.  ``T`` only grows at its end and
-        ``lgcd_family`` is a left fold in ``T`` order, so a row's left-gcd is
-        extended by folding over its new cells only.  If that leaves the
-        left-gcd unchanged, only the new cells are divided by it; if it
-        shrank, the whole row is divided again.  A new row has no cells yet
-        and is factored from scratch.
+        extensions ``q·a``, in ``Q`` and alphabet order (every other prefix
+        is an extension), and cells in ``T`` order.  ``T`` only grows at its
+        end and ``lgcd_family`` is a left fold, so a row's left-gcd is
+        extended over its new cells only, and only those are divided by it.
+        If it shrank from ``old`` to ``g``, each old reduced cell ``r`` first
+        becomes ``k·r`` with ``k = g\\old``, as the monoids are
+        left-cancellative; so each raw cell is read once, when it is filled.
         """
         m = self.monoid
         values, suffixes, rows, lam = self.values, self.suffixes, self._rows, self.lam
@@ -155,12 +157,16 @@ class ObservationTable:
             old = lam.get(w)
             g = lgcd_family(m, (old, *cells))
             if g != old and old is not None:
-                row, cells = (), [values[w + t] for t in suffixes]
+                k = m.left_divide(g, old)
+                row = tuple(None if r is None else m.mul(k, r) for r in row)
             lam[w] = g
             if g is not None:
                 cells = [None if v is None else m.left_divide(g, v) for v in cells]
             rows[w] = row = row + tuple(cells)
             class_ids[w] = interned.setdefault(row, len(interned))
+        self.classes = {}
+        for q in self.prefixes:
+            self.classes.setdefault(class_ids[q], []).append(q)
 
     def row(self, word: Word) -> PartialRow:
         """The reduced row ``r(word, ·)`` over ``T``, as cached by ``fill``."""
@@ -192,23 +198,13 @@ def _append_missing(words: list[Word], candidates: Iterable[Word]) -> int:
     return len(missing)
 
 
-def _row_classes(table: ObservationTable) -> dict[int, list[Word]]:
-    """Each class id of a prefix row mapped to its prefixes, in ``Q`` order."""
-    classes: dict[int, list[Word]] = {}
-    for q in table.prefixes:
-        classes.setdefault(table.class_ids[q], []).append(q)
-    return classes
-
-
 def find_defect(table: ObservationTable) -> Optional[Defect]:
     """First defect in deterministic scan order, or ``None`` if a hypothesis
     can be built."""
     m, alphabet, ext, suffixes = table.monoid, table.alphabet, table._extensions, table.suffixes
-    row, lam, values, cls = table.row, table.lam, table.values, table.class_ids
-    classes = _row_classes(table)
+    row, lam, cls, classes = table.row, table.lam, table.class_ids, table.classes
 
-    # Closure: a letter extension whose (somewhere-defined) row matches no
-    # prefix row.
+    # Closure: a somewhere-defined extension row that matches no prefix row.
     for q in table.prefixes:
         for qa in ext[q]:
             c = cls[qa]
@@ -226,8 +222,7 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
         ids and left-gcds show to hold a consistency defect, in scan order;
         ``keys(q, q·a)`` iterates the keys of the ``q·a`` cells in ``T`` order."""
         # TOT: a nowhere-defined class with a defined extension, or merged rows
-        # whose extensions differ; definedness names the suffix, read from the
-        # reduced rows, since a reduced cell is ``⊥`` exactly when its raw cell is.
+        # whose extensions differ; a reduced cell is ``⊥`` exactly when its raw cell is.
         for state, members in classes.items():
             bottom = state == BOTTOM
             if not bottom and len(members) == 1:
@@ -241,7 +236,7 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
         for q in table.prefixes:
             for i, qa in enumerate(ext[q]):
                 if lam[q] is not None and not divisible(q, lam[qa]):
-                    keys = lambda q, qa: (divisible(q, values[qa + t]) for t in suffixes)
+                    keys = lambda q, qa: (divisible(q, mul_partial(m, lam[qa], r)) for r in row(qa))
                     yield DefectKind.INV, (q,), i, keys, (True,)
         # INJ: merged rows must agree on the extension's class and on the
         # quotient of the two left-gcds.
@@ -250,7 +245,7 @@ def find_defect(table: ObservationTable) -> Optional[Defect]:
                 continue
             for i in range(len(alphabet)):
                 if len({(cls[ext[q][i]], quotient(q, lam[ext[q][i]])) for q in members}) > 1:
-                    keys = lambda q, qa: (quotient(q, values[qa + t]) for t in suffixes)
+                    keys = lambda q, qa: (quotient(q, mul_partial(m, lam[qa], r)) for r in row(qa))
                     yield DefectKind.INJ, members, i, keys, ()
 
     # One suffix search names every consistency defect: the first ``t`` at
@@ -293,7 +288,7 @@ def build_hypothesis(table: ObservationTable) -> Transducer:
     extension row's class.
     """
     m, cls, alphabet = table.monoid, table.class_ids, table.alphabet
-    reps = {c: qs[0] for c, qs in _row_classes(table).items() if c != BOTTOM}
+    reps = {c: qs[0] for c, qs in table.classes.items() if c != BOTTOM}
     states = list(reps.values())
     ids = _state_ids(states, alphabet)
     # ``T`` starts with the empty word, so a state row's first entry is its

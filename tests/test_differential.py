@@ -1,5 +1,6 @@
-"""Differential tests: minimization and the exact equivalence oracle against
-the brute-force comparison, on small partial machines over all five monoids."""
+"""Differential tests: minimization, the exact equivalence oracle and learning
+against the brute-force comparison, on small partial machines over all five
+monoids."""
 
 from __future__ import annotations
 
@@ -9,7 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from montrans import Transducer, brute_force_diff, check_minimal, equivalence_oracle, minimize
+from montrans import (
+    LearnLimits,
+    Transducer,
+    brute_force_diff,
+    check_minimal,
+    equivalence_oracle,
+    iso_check,
+    learn,
+    membership_oracle,
+    minimize,
+)
 
 from workloads import random_element, standard_monoids
 
@@ -78,3 +89,19 @@ def test_minimize_and_equivalence_oracle_match_brute_force(kind, data):
         assert brute_force_diff(t, mutant, bound) is None
     else:
         assert brute_force_diff(t, mutant, len(verdict.word)) == verdict
+
+
+#: Runs on these targets reach at most 5 prefixes and 6 loop iterations, so a
+#: defect search that names the wrong suffix fails fast instead of looping.
+LIMITS = LearnLimits(max_q=20, max_iterations=50)
+
+
+@pytest.mark.parametrize("kind", MONOIDS)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_learn_matches_brute_force(kind, data):
+    t = data.draw(partial_machines(kind))
+    learned, _ = learn(t.monoid, t.alphabet, membership_oracle(t), equivalence_oracle(t), LIMITS)
+    assert check_minimal(learned)
+    assert brute_force_diff(t, learned, len(t.states) + 2) is None
+    assert iso_check(minimize(t).minimal, learned) is not None

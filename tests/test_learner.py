@@ -266,84 +266,99 @@ def test_row_level_defect_search_matches_cell_scan(monkeypatch):
     assert all(seen[kind] > 0 for kind in DefectKind), seen
 
 
-def defect_search_reads(monkeypatch, target: Transducer) -> tuple[int, Counter]:
-    """Reads of ``table.values`` by ``find_defect`` while ``target`` is
-    learned, and the kinds of the defects named.  A raw cell's word is as
-    long as its prefix, so every read builds and hashes a word of up to
-    ``|Q|`` letters."""
-    reads = 0
+def learn_counting_reads(target: Transducer) -> tuple[Counter, Counter, ObservationTable]:
+    """Learn ``target`` and count the reads of ``table.values`` made inside
+    ``fill``, inside ``find_defect`` and elsewhere (under ``None``); returns
+    those counts, the kinds of the defects named and the final table."""
+    reads, kinds, tables = Counter(), Counter(), []
+    init, fill, real_find_defect = ObservationTable.__init__, ObservationTable.fill, find_defect
 
     class CountingValues(dict):
+        phase = None
+
         def __getitem__(self, word):
-            nonlocal reads
-            reads += 1
+            reads[self.phase] += 1
             return super().__getitem__(word)
 
         def get(self, word, default=None):
-            nonlocal reads
-            reads += 1
+            reads[self.phase] += 1
             return super().get(word, default)
 
-    real = find_defect
+    def counting_init(table, *args):
+        init(table, *args)
+        table.values = CountingValues()
+        tables.append(table)
 
-    def counted_find_defect(table):
-        values = table.values
-        table.values = CountingValues(values)
-        try:
-            return real(table)
-        finally:
-            table.values = values
+    def counted(phase, run):
+        def run_counted(table, *args):
+            table.values.phase = phase
+            try:
+                return run(table, *args)
+            finally:
+                table.values.phase = None
 
-    monkeypatch.setattr(montrans.learner, "find_defect", counted_find_defect)
-    kinds = Counter()
+        return run_counted
 
     def observe(event, payload):
         if event == "defect":
             kinds[payload.kind] += 1
 
-    learn(target.monoid, target.alphabet, membership_oracle(target), equivalence_oracle(target), observer=observe)
-    return reads, kinds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ObservationTable, "__init__", counting_init)
+        mp.setattr(ObservationTable, "fill", counted("fill", fill))
+        mp.setattr(montrans.learner, "find_defect", counted("find_defect", real_find_defect))
+        membership = membership_oracle(target)
+        learn(target.monoid, target.alphabet, membership, equivalence_oracle(target), observer=observe)
+    return reads, kinds, tables[-1]
 
 
-#: Reads of ``table.values`` by ``find_defect`` over a whole run on
-#: ``chain(nat-add, n, n // 4, reset)``, keyed by ``(n, reset)``, as counted
-#: for the four separate scans that one suffix search replaced.  They read
-#: none: TOT names its suffix from the reduced rows, and no INV or INJ defect
-#: occurs on these chains.
-CHAIN_VALUE_READS = {(50, False): 0, (50, True): 0, (100, False): 0, (100, True): 0}
-#: The same on the free monoid's chains, which make one INV defect, or two
-#: with ``reset``, as counted for the one suffix search before this gate.
-FREE_CHAIN_VALUE_READS = {(50, False): 38, (50, True): 76, (100, False): 75, (100, True): 150}
-#: Target 15 of the acceptance learning corpus (seed 9001) is the first whose
-#: run makes an INJ defect; the reads, counted the same way, and the index.
-CORPUS_INJ_READS, CORPUS_INJ_TARGET = 3, 15
-
-
-@pytest.mark.parametrize("reset", [False, True], ids=["plain", "reset"])
-@pytest.mark.parametrize("n", [50, 100])
-def test_defect_search_reads_few_cells_on_chains(monkeypatch, n, reset):
-    """Naming TOT defects costs at most 1.1 times the four scans' reads."""
-    reads, kinds = defect_search_reads(monkeypatch, chain(NatAddMonoid(), n, n // 4, reset))
-    assert kinds[DefectKind.TOT] > 0, kinds
-    assert reads <= 1.1 * CHAIN_VALUE_READS[n, reset]
+def assert_defect_search_reads_no_raw_cell(target: Transducer, kind: DefectKind):
+    """Learning ``target`` names ``kind`` defects, and ``find_defect`` names
+    every defect from the factored table alone, reading ``table.values`` 0
+    times."""
+    reads, kinds, _ = learn_counting_reads(target)
+    assert kinds[kind] > 0, kinds
+    assert reads["find_defect"] == 0
 
 
 @pytest.mark.parametrize("reset", [False, True], ids=["plain", "reset"])
 @pytest.mark.parametrize("n", [50, 100])
-def test_inv_naming_reads_few_cells_on_free_chains(monkeypatch, n, reset):
-    reads, kinds = defect_search_reads(monkeypatch, chain(standard_monoids()["free"], n, n // 4, reset))
-    assert kinds[DefectKind.INV] > 0, kinds
-    assert reads <= 1.1 * FREE_CHAIN_VALUE_READS[n, reset]
+def test_defect_search_reads_few_cells_on_chains(n, reset):
+    """``chain(nat-add, n, n // 4)`` makes TOT defects."""
+    target = chain(NatAddMonoid(), n, n // 4, reset)
+    assert_defect_search_reads_no_raw_cell(target, DefectKind.TOT)
 
 
-def test_inj_naming_reads_few_cells_on_a_corpus_target(monkeypatch):
+@pytest.mark.parametrize("reset", [False, True], ids=["plain", "reset"])
+@pytest.mark.parametrize("n", [50, 100])
+def test_inv_naming_reads_few_cells_on_free_chains(n, reset):
+    """``chain(free, n, n // 4)`` makes one INV defect, or two with ``reset``."""
+    target = chain(standard_monoids()["free"], n, n // 4, reset)
+    assert_defect_search_reads_no_raw_cell(target, DefectKind.INV)
+
+
+def test_inj_naming_reads_few_cells_on_a_corpus_target():
+    """Target 15 of the acceptance learning corpus (seed 9001) is the first
+    whose run makes an INJ defect."""
     rng = random.Random(9001)
     free = standard_monoids()["free"]  # the corpus's first 100 targets
-    for _ in range(CORPUS_INJ_TARGET + 1):
+    for _ in range(16):
         target = random_machine(free, rng, max_states=6, max_letters=3)
-    reads, kinds = defect_search_reads(monkeypatch, target)
-    assert kinds[DefectKind.INJ] > 0, kinds
-    assert reads <= 1.1 * CORPUS_INJ_READS
+    assert_defect_search_reads_no_raw_cell(target, DefectKind.INJ)
+
+
+def test_fill_reads_each_raw_cell_once():
+    """Over whole runs, ``fill`` reads each cell of the final table once, even
+    where a left-gcd shrinks, and nothing else reads ``values``."""
+    rng = random.Random(35)  # the draws on which the incremental-fill test sees shrinks
+    targets = [learning_target()] + [
+        random_machine(monoid, rng, max_states=6, max_letters=3)
+        for monoid in standard_monoids().values()
+        for _ in range(20)
+    ]
+    for target in targets:
+        reads, _, table = learn_counting_reads(target)
+        assert reads == {"fill": len(table.lam) * len(table.suffixes)}, (target.monoid.kind, reads)
 
 
 # -- the worked learning run ----------------------------------------------------

@@ -327,6 +327,7 @@ def test_serialize_round_trip(machine):
     again = deserialize(text)
     assert again == machine
     assert again.serialize() == text
+    assert repr(again) == "Transducer(4 states, free)"
 
 
 def test_golden_files_round_trip():
