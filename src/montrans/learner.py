@@ -343,36 +343,33 @@ def learn(
     ``("counterexample", Word)`` events as the run unfolds.
     """
     limits = limits or LearnLimits()
-    stats = LearnStats()
     table = ObservationTable(monoid, alphabet)
-
     notify = observer or (lambda event, payload: None)
+    equivalence_queries = loop_iterations = 0
 
-    def check_caps() -> None:
-        stats.membership_queries = len(table.values)
-        stats.q_updates, stats.t_updates = len(table.prefixes) - 1, len(table.suffixes) - 1
-        if len(table.prefixes) > limits.max_q:
-            raise BudgetExceeded(f"prefix set grew past the cap of {limits.max_q}", stats, table)
-        if stats.loop_iterations > limits.max_iterations:
-            raise BudgetExceeded(f"exceeded {limits.max_iterations} loop iterations", stats, table)
+    def stats() -> LearnStats:
+        """The run's counts, with the membership queries and the updates read off the table."""
+        q_updates, t_updates = len(table.prefixes) - 1, len(table.suffixes) - 1
+        return LearnStats(len(table.values), equivalence_queries, q_updates, t_updates, loop_iterations)
 
     table.fill(membership)
     while True:
-        stats.loop_iterations += 1
-        check_caps()
+        if len(table.prefixes) > limits.max_q:
+            raise BudgetExceeded(f"prefix set grew past the cap of {limits.max_q}", stats(), table)
+        loop_iterations += 1
+        if loop_iterations > limits.max_iterations:
+            raise BudgetExceeded(f"exceeded {limits.max_iterations} loop iterations", stats(), table)
         defect = find_defect(table)
         if defect is not None:
             notify("defect", defect)
             apply_defect(table, defect, membership)
-            check_caps()
             continue
         hypothesis = build_hypothesis(table)
         notify("hypothesis", hypothesis)
-        stats.equivalence_queries += 1
+        equivalence_queries += 1
         verdict = equivalence(hypothesis)
         if verdict is None:
-            return hypothesis, stats
+            return hypothesis, stats()
         word = tuple(verdict.word)
         notify("counterexample", word)
         process_counterexample(table, word, membership)
-        check_caps()

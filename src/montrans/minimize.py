@@ -12,10 +12,10 @@
    representative's function, with no factor between them.
 
 The result is the minimal machine: all states reachable, recognizing distinct
-left-coprime functions.  Each stage builds its machine with
-``transducer._assemble``, without the constructor's checks: the parts come
-from a checked machine or from the monoid's canonical-in, canonical-out
-operations.
+left-coprime functions.  One state-map restriction, ``_restrict``, builds the
+``reach``, ``total`` and ``observe`` stages, and returns its input when no
+state goes.  It and ``_push`` (``prefix``) skip the constructor's checks: the
+parts come from a checked machine or from canonical monoid operations.
 """
 
 from __future__ import annotations
@@ -52,15 +52,22 @@ class StagedMinimization:
         )
 
 
-def _restrict(t: Transducer, keep: list[str]) -> Transducer:
-    """``t`` restricted to the states ``keep``; ``t`` itself when that is all of them."""
+def _restrict(t: Transducer, rep: dict[str, str]) -> Transducer:
+    """``t`` on the states that ``rep`` maps to themselves, in declaration
+    order, with each kept edge and the initial pair redirected to
+    ``rep[target]``; an edge or initial pair whose target ``rep`` omits is
+    dropped.  ``t`` itself when ``rep`` fixes every state."""
+    keep = [s for s in t.states if rep.get(s) == s]
     if len(keep) == len(t.states):
         return t
-    kept = set(keep)
+    initial = t.initial
+    if initial is not None:
+        initial = (initial[0], rep[initial[1]]) if initial[1] in rep else None
     transitions = {
-        (s, a): step for (s, a), step in t.transitions.items() if s in kept and step[1] in kept
+        (s, a): (out, rep[target])
+        for (s, a), (out, target) in t.transitions.items()
+        if rep.get(s) == s and target in rep
     }
-    initial = t.initial if t.initial is not None and t.initial[1] in kept else None
     termination = {s: t.termination[s] for s in keep}
     return _assemble(t.monoid, t.alphabet, tuple(keep), initial, termination, transitions)
 
@@ -68,14 +75,14 @@ def _restrict(t: Transducer, keep: list[str]) -> Transducer:
 def reach(t: Transducer) -> Transducer:
     """Restriction to the states reachable from the initial state; ``t``
     itself when every state is."""
-    return _restrict(t, t.reachable_states())
+    return _restrict(t, {s: s for s in t.reachable_states()})
 
 
 def total(t: Transducer) -> Transducer:
     """Restriction to productive states; clears the initial pair if its state
     recognizes the nowhere-defined function.  ``t`` itself when every state
     is productive."""
-    return _restrict(t, t.productive_states())
+    return _restrict(t, {s: s for s in t.productive_states()})
 
 
 def state_lgcds(t: Transducer) -> dict[str, PartialValue]:
@@ -173,26 +180,13 @@ def observe(t: Transducer) -> tuple[Transducer, dict[str, str]]:
     After ``prefix`` every state recognizes a canonical left-coprime
     function, so "equal up to an invertible left factor" is plain equality
     and this stage is automaton minimization over ``(letter, output)``
-    labels (Mohri's push-then-minimize).  Returns the merged machine and, for
-    every input state, its representative (earliest in declaration order).
+    labels (Mohri's push-then-minimize).  Returns the merged machine (``t`` if
+    nothing merges) and each state's representative, the first of its block.
     """
     blocks = _moore_blocks(t)
-    reps: dict[int, str] = {}
-    for s in t.states:
-        reps.setdefault(blocks[s], s)
-    keep = tuple(reps.values())
-    kept = set(keep)
-    initial = t.initial
-    if initial is not None:
-        initial = (initial[0], reps[blocks[initial[1]]])
-    transitions = {
-        (s, a): (out, reps[blocks[target]])
-        for (s, a), (out, target) in t.transitions.items()
-        if s in kept
-    }
-    termination = {s: t.termination[s] for s in keep}
-    merged = _assemble(t.monoid, t.alphabet, keep, initial, termination, transitions)
-    return merged, {s: reps[blocks[s]] for s in t.states}
+    first: dict[int, str] = {}
+    rep = {s: first.setdefault(blocks[s], s) for s in t.states}
+    return _restrict(t, rep), rep
 
 
 def minimize(t: Transducer) -> StagedMinimization:

@@ -18,7 +18,8 @@ differ a second key of a state pair, or a one-sided one, shows up within
 ``iso_check`` reads its pairing of two minimal machines off the same walk:
 they are isomorphic exactly when they are equivalent.  ``brute_force_diff``
 is the dumb word-enumeration oracle used to validate everything else: an
-unpruned walk over all words that carries both machines' configurations.
+unpruned walk over all words.  Both walks carry each machine's configurations,
+stepped and valued by the machine itself (``Transducer.step`` and ``value``).
 ``adversarial_oracle`` answers membership queries with free-monoid
 representatives chosen so that a free-monoid learning run never converges.
 """
@@ -31,7 +32,7 @@ from typing import Callable, Optional
 
 from .errors import NotMinimalInput, SearchBoundExceeded, UnknownLetter
 from .minimize import check_minimal, total
-from .monoid import Element, FreeMonoid, PartialValue, mul_partial
+from .monoid import Element, FreeMonoid, PartialValue
 from .transducer import Transducer, Word
 
 
@@ -53,20 +54,6 @@ def membership_oracle(reference: Transducer) -> Callable[[Word], PartialValue]:
     return reference.eval
 
 
-def _step(t: Transducer, config, letter):
-    """The configuration one ``letter`` after ``config`` (``None`` once undefined)."""
-    nxt = None if config is None else t.transitions.get((config[1], letter))
-    if nxt is None:
-        return None
-    out, target = nxt
-    return (t.monoid.mul(config[0], out), target)
-
-
-def _value(t: Transducer, config) -> PartialValue:
-    """The value ``t`` assigns to a word that leads to ``config``."""
-    return None if config is None else mul_partial(t.monoid, config[0], t.termination[config[1]])
-
-
 def _require_comparable(t1: Transducer, t2: Transducer) -> None:
     """Raise ``ValueError`` unless the two machines share a monoid and an
     input alphabet."""
@@ -82,11 +69,11 @@ def brute_force_diff(t1: Transducer, t2: Transducer, max_len: int) -> Equivalenc
     frontier: deque[tuple[Word, object, object]] = deque([((), t1.initial, t2.initial)])
     while frontier:
         w, c1, c2 = frontier.popleft()
-        v1, v2 = _value(t1, c1), _value(t2, c2)
+        v1, v2 = t1.value(c1), t2.value(c2)
         if v1 != v2:
             return CounterExample(w, v1, v2)
         if len(w) < max_len:
-            frontier.extend((w + (a,), _step(t1, c1, a), _step(t2, c2, a)) for a in t1.alphabet)
+            frontier.extend((w + (a,), t1.step(c1, a), t2.step(c2, a)) for a in t1.alphabet)
     return None
 
 
@@ -115,17 +102,17 @@ def _walk(t1: Transducer, t2: Transducer, max_len: int) -> tuple[EquivalenceVerd
     ``max_len`` but an unexplored pair lies beyond it.  When ``t1`` is trim,
     the walk on equivalent machines always runs out of pairs.
     """
-    m = t1.monoid
+    m, step1, step2, value1, value2 = t1.monoid, t1.step, t2.step, t1.value, t2.value
     seen = dict.fromkeys([_config_key(m, t1.initial, t2.initial)])
     frontier: deque[tuple[Word, object, object]] = deque([((), t1.initial, t2.initial)])
     truncated = False
     while frontier:
         w, c1, c2 = frontier.popleft()
-        v1, v2 = _value(t1, c1), _value(t2, c2)
+        v1, v2 = value1(c1), value2(c2)
         if v1 != v2:
             return CounterExample(w, v1, v2), seen
         for a in t1.alphabet:
-            n1, n2 = _step(t1, c1, a), _step(t2, c2, a)
+            n1, n2 = step1(c1, a), step2(c2, a)
             if n1 is None and n2 is None:
                 continue
             key = _config_key(m, n1, n2)

@@ -3,8 +3,8 @@ JSON serialization and DOT export.
 
 Partiality is encoded by absence: the initial pair is optional, transitions
 may be missing, and termination values may be ``None`` (the undefined ``⊥``).
-A machine recognizes the partial function ``w -> init · outputs(w) · term``,
-undefined as soon as any step is.
+Each letter ``step``s a configuration ``(value, state)`` along a transition
+(only alphabet letters have one), and its ``value`` is ``value · term(state)``.
 
 ``Transducer(...)`` checks every field.  Machines built inside the library
 from parts already known to be valid and canonical (hypotheses, minimization
@@ -71,21 +71,29 @@ class Transducer:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, word: Word) -> PartialValue:
-        """Value of the recognized function on ``word`` (``None`` for ``⊥``)."""
-        for a in word:
-            if a not in self.alphabet:
-                raise UnknownLetter(f"letter {a!r} is not in the alphabet {list(self.alphabet)}")
-        if self.initial is None:
+    def step(self, config, letter):
+        """The configuration one ``letter`` after ``config`` (``None`` once undefined)."""
+        nxt = None if config is None else self.transitions.get((config[1], letter))
+        return None if nxt is None else (self.monoid.mul(config[0], nxt[0]), nxt[1])
+
+    def value(self, config) -> PartialValue:
+        """The value of a word that leads to ``config``: ``value · term(state)``."""
+        if config is None:
             return None
-        value, state = self.initial
+        return mul_partial(self.monoid, config[0], self.termination[config[1]])
+
+    def eval(self, word: Word) -> PartialValue:
+        """Value on ``word`` (``None`` for ``⊥``): the fold of :meth:`step`, then :meth:`value`."""
+        step, config = self.step, self.initial
         for a in word:
-            step = self.transitions.get((state, a))
-            if step is None:
-                return None
-            out, state = step
-            value = self.monoid.mul(value, out)
-        return mul_partial(self.monoid, value, self.termination[state])
+            config = step(config, a)
+            if config is None:
+                break
+        if config is None:
+            for a in word:
+                if a not in self.alphabet:
+                    raise UnknownLetter(f"letter {a!r} is not in the alphabet {list(self.alphabet)}")
+        return self.value(config)
 
     # -- structure ---------------------------------------------------------
 

@@ -5,12 +5,15 @@ monoids."""
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from montrans import (
+    DefectKind,
     LearnLimits,
     Transducer,
     brute_force_diff,
@@ -22,7 +25,8 @@ from montrans import (
     minimize,
 )
 
-from workloads import random_element, standard_monoids
+from helpers import chain
+from workloads import random_element, random_machine, standard_monoids
 
 MONOIDS = standard_monoids()
 
@@ -91,8 +95,9 @@ def test_minimize_and_equivalence_oracle_match_brute_force(kind, data):
         assert brute_force_diff(t, mutant, len(verdict.word)) == verdict
 
 
-#: Runs on these targets reach at most 5 prefixes and 6 loop iterations, so a
-#: defect search that names the wrong suffix fails fast instead of looping.
+#: Runs on the targets of this file reach at most 8 prefixes and 12 loop
+#: iterations, so a defect search that names the wrong suffix fails fast
+#: instead of looping.
 LIMITS = LearnLimits(max_q=20, max_iterations=50)
 
 
@@ -105,3 +110,59 @@ def test_learn_matches_brute_force(kind, data):
     assert check_minimal(learned)
     assert brute_force_diff(t, learned, len(t.states) + 2) is None
     assert iso_check(minimize(t).minimal, learned) is not None
+
+
+#: Per kind, the index within its kind of the first acceptance-corpus target
+#: whose run makes an INJ defect.
+FIRST_INJ_TARGET = {"free": 15, "trace": 21, "commutative": 35, "nat-add": 0, "cyclic-group": 1}
+
+
+def corpus_target(kind: str, index: int) -> Transducer:
+    """Target ``index`` of ``kind`` in the acceptance learning corpus: 100
+    ``random_machine`` draws per kind, kind after kind, from ``Random(9001)``."""
+    rng = random.Random(9001)
+    for k, monoid in MONOIDS.items():
+        for i in range(100):
+            target = random_machine(monoid, rng, max_states=6, max_letters=3)
+            if (k, i) == (kind, index):
+                return target
+    raise KeyError((kind, index))
+
+
+def learn_counting_defects(t: Transducer) -> tuple[Transducer, Counter]:
+    """The machine learned from ``t``, and the count of each defect kind met."""
+    kinds: Counter = Counter()
+
+    def observe(event, payload):
+        if event == "defect":
+            kinds[payload.kind] += 1
+
+    membership, equivalence = membership_oracle(t), equivalence_oracle(t)
+    learned, _ = learn(t.monoid, t.alphabet, membership, equivalence, LIMITS, observe)
+    return learned, kinds
+
+
+@pytest.mark.parametrize("kind", MONOIDS)
+def test_learn_names_inj_defects(kind):
+    t = corpus_target(kind, FIRST_INJ_TARGET[kind])
+    learned, kinds = learn_counting_defects(t)
+    assert kinds[DefectKind.INJ] >= 1, kinds
+    assert check_minimal(learned)
+    assert brute_force_diff(t, learned, len(t.states) + 2) is None
+    assert iso_check(minimize(t).minimal, learned) is not None
+
+
+@pytest.mark.parametrize("reset", [False, True], ids=["plain", "reset"])
+@pytest.mark.parametrize("kind", MONOIDS)
+def test_chains_match_brute_force(kind, reset):
+    """``chain(m, 10, 2)``: an 8-state chain whose last state ``c7`` loops
+    through two unrolled twins."""
+    t = chain(MONOIDS[kind], 10, 2, reset)
+    learned, _ = learn_counting_defects(t)
+    for machine in (minimize(t).minimal, learned):
+        assert check_minimal(machine)
+        assert brute_force_diff(t, machine, 12) is None
+    mutant = replace(t, termination={**t.termination, "c7": t.monoid.unit()})
+    verdict = equivalence_oracle(t)(mutant)
+    assert verdict is not None
+    assert verdict == brute_force_diff(t, mutant, 12)

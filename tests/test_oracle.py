@@ -100,8 +100,8 @@ def _conjugated_pair(m, rng: random.Random) -> tuple[Transducer, Transducer]:
 
 
 def test_brute_force_diff_matches_eval():
-    """The walk steps configurations with the same ``_step`` as the exact
-    oracle; this checks it against plain ``eval``, word by word."""
+    """The walk steps configurations with ``Transducer.step``, as the exact
+    oracle does; this checks it against plain ``eval``, word by word."""
     rng = random.Random(6011)
     pairs = []
     for monoid in standard_monoids().values():

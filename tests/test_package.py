@@ -69,3 +69,27 @@ def test_returned_types_are_the_public_names():
     assert type(minimize(machine)) is montrans.StagedMinimization
     defects = [payload for kind, payload in events if kind == "defect"]
     assert defects and all(type(d) is montrans.Defect for d in defects)
+
+
+def test_every_private_module_name_is_used():
+    """Each module-level name in the package with one leading underscore is
+    read somewhere in the package besides its definition; an import alone
+    does not count."""
+    sources = sorted((ROOT / "src" / "montrans").glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = (n for n in ast.walk(node) if isinstance(n, ast.Name))
+                defined |= {n.id for n in names if isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert private, "no private module-level names found"
+    assert not private - read, sorted(private - read)

@@ -9,6 +9,7 @@ import random
 import re
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,15 @@ def test_eval_unknown_letter(machine):
         machine.eval(("z",))
     with pytest.raises(UnknownLetter):
         machine.eval(("a", "z"))  # even though the machine dies after a
+    with pytest.raises(UnknownLetter):
+        machine.eval(("b", "z"))  # after a defined prefix
+    no_initial = replace(machine, initial=None)
+    assert no_initial.eval(("b",)) is None
+    with pytest.raises(UnknownLetter):
+        no_initial.eval(("b", "z"))
+    assert machine.step(None, "b") is None
+    assert machine.value(None) is None
+    assert machine.value(machine.initial) == machine.eval(())
 
 
 def test_state_eval(machine):
