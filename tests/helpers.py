@@ -6,12 +6,16 @@ and the tests draw from that one copy: ``standard_monoids``,
 ``_rename``, ``_split_state`` and ``_shift_outputs``, and the configuration
 step ``_step``.  One copy means the tests check the machines the
 benchmark times, and ``tests/test_acceptance.py`` pins the SHA-256 of the
-corpora they draw, so an edit that changes a draw fails a test.
+corpora they draw, so an edit that changes a draw fails a test.  Seeded
+draws go through ``draws`` (the acceptance corpus through
+``corpus_targets``), and a target is learned against its own oracles with
+``learned``.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from pathlib import Path
 
 from montrans import (
@@ -24,16 +28,40 @@ from montrans import (
     Transducer,
     UnknownLetter,
     deserialize,
+    equivalence_oracle,
+    learn,
     make_monoid,
     mul_partial,
 )
-from workloads import _rename, _shift_outputs, _split_state, _step, random_machine
+from workloads import _rename, _shift_outputs, _split_state, _step, random_machine, standard_monoids
 
 DATA = Path(__file__).parent / "data"
 
 
 def load_machine(name: str) -> Transducer:
     return deserialize((DATA / name).read_text(encoding="utf-8"))
+
+
+def draws(seed: int, per_kind: int, **shape) -> list[Transducer]:
+    """``per_kind`` draws of ``random_machine`` per kind of
+    ``standard_monoids()``, kind after kind, from one ``Random(seed)``;
+    ``shape`` overrides the corpus shape ``max_states=6, max_letters=3``."""
+    rng = random.Random(seed)
+    shape = {"max_states": 6, "max_letters": 3, **shape}
+    monoids = standard_monoids().values()
+    return [random_machine(m, rng, **shape) for m in monoids for _ in range(per_kind)]
+
+
+@cache
+def corpus_targets() -> tuple[Transducer, ...]:
+    """The acceptance learning corpus: 100 draws per kind at seed 9001."""
+    return tuple(draws(9001, 100))
+
+
+def learned(target: Transducer, **kw):
+    """``learn`` run on ``target`` against its own membership and
+    equivalence oracles; ``kw`` goes to ``learn``."""
+    return learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target), **kw)
 
 
 def inverse(monoid: Monoid, x):

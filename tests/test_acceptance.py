@@ -33,7 +33,15 @@ from montrans import (
     state_lgcds,
 )
 
-from helpers import beta_loop, brute_trace_lgcd, equivalent_pair, learning_target, load_machine
+from helpers import (
+    beta_loop,
+    brute_trace_lgcd,
+    corpus_targets,
+    equivalent_pair,
+    learned,
+    learning_target,
+    load_machine,
+)
 from workloads import random_element, random_machine, standard_monoids
 
 
@@ -57,16 +65,8 @@ def criterion(number: int, description: str, budget: float | None = None):
 @pytest.fixture(scope="module")
 def learning_corpus():
     """≥ 100 random targets per monoid instance with their learned machines."""
-    rng = random.Random(9001)
-    runs = []
     start = time.monotonic()
-    for kind, monoid in standard_monoids().items():
-        for _ in range(100):
-            target = random_machine(monoid, rng, max_states=6, max_letters=3)
-            machine, stats = learn(
-                monoid, target.alphabet, target.eval, equivalence_oracle(target)
-            )
-            runs.append((kind, target, machine, stats))
+    runs = [(target.monoid.kind, target, *learned(target)) for target in corpus_targets()]
     return runs, time.monotonic() - start
 
 
@@ -107,13 +107,7 @@ def test_criterion_2_worked_learning_run():
     with criterion(2, "deterministic learning run on the three-state target", budget=1.0):
         target = learning_target()
         events = []
-        machine, stats = learn(
-            target.monoid,
-            target.alphabet,
-            target.eval,
-            equivalence_oracle(target),
-            observer=lambda kind, payload: events.append((kind, payload)),
-        )
+        machine, stats = learned(target, observer=lambda kind, payload: events.append((kind, payload)))
         defects = [(d.kind, d.word) for k, d in events if k == "defect"]
         assert defects == [
             (DefectKind.INV, ("a",)),

@@ -11,15 +11,13 @@ from montrans import (
     Transducer,
     brute_force_diff,
     check_minimal,
-    equivalence_oracle,
     iso_check,
-    learn,
     minimize,
     state_lgcds,
 )
 from montrans.oracle import _walk
 
-from helpers import learning_target
+from helpers import learned, learning_target
 from workloads import standard_monoids
 
 
@@ -80,7 +78,7 @@ def test_learn_with_multi_character_letters():
         termination={"0": p("α"), "1": None},
         transitions={("0", "in"): (p("β"), "1"), ("1", "out"): (p("γ"), "0")},
     )
-    machine, _ = learn(free, target.alphabet, target.eval, equivalence_oracle(target))
+    machine, _ = learned(target)
     assert check_minimal(machine)
     assert brute_force_diff(machine, target, 6) is None
     assert machine.states == ("e", "in")  # word-derived ids use the · join rule

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 
 import pytest
@@ -27,7 +26,6 @@ from montrans import (
     iso_check,
     learn,
     lgcd_family,
-    membership_oracle,
     minimize,
     mul_partial,
     process_counterexample,
@@ -36,8 +34,8 @@ from montrans import (
 import montrans.learner
 from montrans.learner import BOTTOM, EMPTY, Defect
 
-from helpers import chain, learning_target, load_machine
-from workloads import random_machine, standard_monoids
+from helpers import chain, corpus_targets, draws, learned, learning_target, load_machine
+from workloads import standard_monoids
 
 
 @pytest.fixture
@@ -103,11 +101,8 @@ def test_rows_are_keyed_by_word(monkeypatch):
         shared[table.monoid.kind] += len(words) < len(table.prefixes) * (1 + len(table.alphabet))
 
     monkeypatch.setattr(ObservationTable, "fill", checked_fill)
-    rng = random.Random(37)
-    for monoid in standard_monoids().values():
-        for _ in range(10):
-            target = random_machine(monoid, rng, max_states=6, max_letters=3)
-            learn(monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    for target in draws(37, 10):
+        learned(target)
     assert all(shared[kind] > 0 for kind in standard_monoids()), shared
 
 
@@ -132,14 +127,8 @@ def test_class_ids_match_reduced_rows(monkeypatch):
         widths[len(table.suffixes) > 1] += 1
 
     monkeypatch.setattr(ObservationTable, "fill", checked_fill)
-    rng = random.Random(38)
-    targets = [learning_target()] + [
-        random_machine(monoid, rng, max_states=6, max_letters=3)
-        for monoid in standard_monoids().values()
-        for _ in range(20)
-    ]
-    for target in targets:
-        learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    for target in [learning_target(), *draws(38, 20)]:
+        learned(target)
     assert widths[True] > 0 and widths[False] > 0, widths
 
 
@@ -177,14 +166,8 @@ def test_incremental_fill_matches_whole_table_refactor(monkeypatch):
         shrunk[m.kind] += sum(g is not None and table.lam[key] != g for key, g in before.items())
 
     monkeypatch.setattr(ObservationTable, "fill", checked_fill)
-    rng = random.Random(35)
-    targets = [learning_target()] + [
-        random_machine(monoid, rng, max_states=6, max_letters=3)
-        for monoid in standard_monoids().values()
-        for _ in range(20)
-    ]
-    for target in targets:
-        learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    for target in [learning_target(), *draws(35, 20)]:
+        learned(target)
     # The re-divide branch runs wherever a left-gcd can shrink; the worked
     # free-monoid run shrinks the empty prefix's left-gcd from α to ε.
     assert all(shrunk[kind] > 0 for kind in ("free", "trace", "commutative", "nat-add")), shrunk
@@ -255,14 +238,8 @@ def test_row_level_defect_search_matches_cell_scan(monkeypatch):
         return defect
 
     monkeypatch.setattr(montrans.learner, "find_defect", checked_find_defect)
-    rng = random.Random(36)
-    targets = [learning_target()] + [
-        random_machine(monoid, rng, max_states=6, max_letters=3)
-        for monoid in standard_monoids().values()
-        for _ in range(20)
-    ]
-    for target in targets:
-        learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    for target in [learning_target(), *draws(36, 20)]:
+        learned(target)
     assert all(seen[kind] > 0 for kind in DefectKind), seen
 
 
@@ -307,8 +284,7 @@ def learn_counting_reads(target: Transducer) -> tuple[Counter, Counter, Observat
         mp.setattr(ObservationTable, "__init__", counting_init)
         mp.setattr(ObservationTable, "fill", counted("fill", fill))
         mp.setattr(montrans.learner, "find_defect", counted("find_defect", real_find_defect))
-        membership = membership_oracle(target)
-        learn(target.monoid, target.alphabet, membership, equivalence_oracle(target), observer=observe)
+        learned(target, observer=observe)
     return reads, kinds, tables[-1]
 
 
@@ -340,23 +316,14 @@ def test_inv_naming_reads_few_cells_on_free_chains(n, reset):
 def test_inj_naming_reads_few_cells_on_a_corpus_target():
     """Target 15 of the acceptance learning corpus (seed 9001) is the first
     whose run makes an INJ defect."""
-    rng = random.Random(9001)
-    free = standard_monoids()["free"]  # the corpus's first 100 targets
-    for _ in range(16):
-        target = random_machine(free, rng, max_states=6, max_letters=3)
-    assert_defect_search_reads_no_raw_cell(target, DefectKind.INJ)
+    assert_defect_search_reads_no_raw_cell(corpus_targets()[15], DefectKind.INJ)
 
 
 def test_fill_reads_each_raw_cell_once():
     """Over whole runs, ``fill`` reads each cell of the final table once, even
     where a left-gcd shrinks, and nothing else reads ``values``."""
-    rng = random.Random(35)  # the draws on which the incremental-fill test sees shrinks
-    targets = [learning_target()] + [
-        random_machine(monoid, rng, max_states=6, max_letters=3)
-        for monoid in standard_monoids().values()
-        for _ in range(20)
-    ]
-    for target in targets:
+    # The draws on which the incremental-fill test sees shrinks.
+    for target in [learning_target(), *draws(35, 20)]:
         reads, _, table = learn_counting_reads(target)
         assert reads == {"fill": len(table.lam) * len(table.suffixes)}, (target.monoid.kind, reads)
 
@@ -368,13 +335,7 @@ def test_worked_free_monoid_run(target):
     """The full deterministic narrative: two consistency defects, one closure
     defect, a first wrong hypothesis refuted on bb, and a second accepted."""
     events = []
-    machine, stats = learn(
-        target.monoid,
-        target.alphabet,
-        target.eval,
-        equivalence_oracle(target),
-        observer=lambda kind, payload: events.append((kind, payload)),
-    )
+    machine, stats = learned(target, observer=lambda kind, payload: events.append((kind, payload)))
 
     kinds = [(k, p) for k, p in events if k == "defect"]
     assert [(k, (d.kind, d.word)) for k, d in kinds] == [
@@ -440,7 +401,7 @@ def test_trace_monoid_run_merges_states():
     learner lands on a smaller machine."""
     trace = TraceMonoid(("α", "β", "γ"), [("α", "β")])
     target = learning_target(trace)
-    machine, stats = learn(trace, target.alphabet, target.eval, equivalence_oracle(target))
+    machine, stats = learned(target)
     assert len(machine.states) == 2 < len(target.states)
     assert check_minimal(machine)
     assert brute_force_diff(machine, target, 6) is None
@@ -498,7 +459,7 @@ def test_tot_defect_revives_dead_empty_row():
             ("1", "b"): (0, "1"),
         },
     )
-    machine, _ = learn(m, target.alphabet, target.eval, equivalence_oracle(target))
+    machine, _ = learned(target)
     assert brute_force_diff(machine, target, 6) is None
     assert check_minimal(machine)
 
@@ -516,7 +477,7 @@ def test_state_named_e_gets_a_fresh_id():
         termination={"s": p("α"), "t": p("β")},
         transitions={("s", "e"): (m.unit(), "t"), ("t", "e"): (m.unit(), "t")},
     )
-    machine, _ = learn(m, target.alphabet, target.eval, equivalence_oracle(target))
+    machine, _ = learned(target)
     assert machine.states == ("e", "⟨e⟩")
     assert brute_force_diff(machine, target, 4) is None
 
@@ -549,12 +510,7 @@ def test_indivisible_step_is_an_internal_inconsistency():
 def test_learn_makes_no_canonical_calls(monkeypatch):
     """The learn path builds every value with canonical-in, canonical-out
     operations and never canonicalizes one again."""
-    rng = random.Random(39)
-    targets = [learning_target()] + [
-        random_machine(monoid, rng, max_states=6, max_letters=3)
-        for monoid in standard_monoids().values()
-        for _ in range(20)
-    ]
+    targets = [learning_target(), *draws(39, 20)]
     calls = Counter()
     for monoid in standard_monoids().values():
         canonical = type(monoid).canonical
@@ -565,12 +521,12 @@ def test_learn_makes_no_canonical_calls(monkeypatch):
 
         monkeypatch.setattr(type(monoid), "canonical", counted)
     for target in targets:
-        learn(target.monoid, target.alphabet, membership_oracle(target), equivalence_oracle(target))
+        learned(target)
     assert calls == Counter()
 
 
 def test_learn_stats_monotone_fields(target):
-    _, stats = learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    _, stats = learned(target)
     doc = stats.to_doc()
     assert set(doc) == {
         "membership_queries",
@@ -584,9 +540,7 @@ def test_learn_stats_monotone_fields(target):
 
 
 def test_table_sets_stay_prefix_and_suffix_closed():
-    rng = random.Random(33)
-    for monoid in standard_monoids().values():
-        target = random_machine(monoid, rng, max_states=4, max_letters=2)
+    for target in draws(33, 1, max_states=4, max_letters=2):
         table = fresh_table(target)
         for _ in range(12):
             defect = find_defect(table)
@@ -624,24 +578,15 @@ def test_adversarial_oracle_never_converges():
 
 def test_iteration_cap(target):
     with pytest.raises(BudgetExceeded):
-        learn(
-            target.monoid,
-            target.alphabet,
-            target.eval,
-            equivalence_oracle(target),
-            LearnLimits(max_iterations=1),
-        )
+        learned(target, limits=LearnLimits(max_iterations=1))
 
 
 # -- random cross-validation (small sample; the acceptance suite runs the corpus) --
 
 
 def test_learner_agrees_with_random_targets():
-    rng = random.Random(31)
-    for monoid in standard_monoids().values():
-        for _ in range(6):
-            target = random_machine(monoid, rng, max_states=4, max_letters=2)
-            machine, _ = learn(monoid, target.alphabet, target.eval, equivalence_oracle(target))
-            assert check_minimal(machine)
-            assert brute_force_diff(machine, target, 7) is None
-            assert iso_check(minimize(target).minimal, machine) is not None
+    for target in draws(31, 6, max_states=4, max_letters=2):
+        machine, _ = learned(target)
+        assert check_minimal(machine)
+        assert brute_force_diff(machine, target, 7) is None
+        assert iso_check(minimize(target).minimal, machine) is not None

@@ -22,8 +22,8 @@ from montrans import (
     total,
 )
 
-from helpers import beta_loop, chain, learning_target, state_eval, words_up_to
-from workloads import random_machine, standard_monoids
+from helpers import beta_loop, chain, draws, learning_target, state_eval, words_up_to
+from workloads import standard_monoids
 
 #: ``montrans.minimize`` names the function the package re-exports.
 minimize_module = importlib.import_module("montrans.minimize")
@@ -108,12 +108,10 @@ def test_prefix_is_identity_when_already_pushed():
 
 
 def test_reach_and_total_return_a_trim_input_itself():
-    rng = random.Random(25)
-    for monoid in standard_monoids().values():
-        for _ in range(6):
-            trim = minimize(random_machine(monoid, rng, max_states=5)).total
-            staged = minimize(trim)
-            assert staged.reach is trim and staged.total is trim, monoid.kind
+    for t in draws(25, 6, max_states=5):
+        trim = minimize(t).total
+        staged = minimize(trim)
+        assert staged.reach is trim and staged.total is trim, t.monoid.kind
 
 
 def test_prefix_requires_trim_machine():
@@ -207,50 +205,37 @@ def test_minimize_empty_language():
 
 
 def test_minimize_preserves_language():
-    rng = random.Random(21)
-    for monoid in standard_monoids().values():
-        for _ in range(12):
-            t = random_machine(monoid, rng, max_states=5, max_letters=2)
-            staged = minimize(t)
-            for stage in (staged.reach, staged.total, staged.prefix, staged.minimal):
-                for w in words_up_to(t.alphabet, 5):
-                    assert stage.eval(w) == t.eval(w), (monoid.kind, stage, w)
+    for t in draws(21, 12, max_states=5, max_letters=2):
+        staged = minimize(t)
+        for stage in (staged.reach, staged.total, staged.prefix, staged.minimal):
+            for w in words_up_to(t.alphabet, 5):
+                assert stage.eval(w) == t.eval(w), (t.monoid.kind, stage, w)
 
 
 def test_minimize_is_idempotent():
-    rng = random.Random(22)
-    for monoid in standard_monoids().values():
-        for _ in range(8):
-            t = random_machine(monoid, rng, max_states=5, max_letters=2)
-            once = minimize(t).minimal
-            twice = minimize(once).minimal
-            assert iso_check(once, twice) is not None
+    for t in draws(22, 8, max_states=5, max_letters=2):
+        once = minimize(t).minimal
+        twice = minimize(once).minimal
+        assert iso_check(once, twice) is not None
 
 
 def test_minimize_result_passes_check_minimal():
-    rng = random.Random(23)
-    for monoid in standard_monoids().values():
-        for _ in range(12):
-            t = random_machine(monoid, rng, max_states=5)
-            assert check_minimal(minimize(t).minimal)
+    for t in draws(23, 12, max_states=5):
+        assert check_minimal(minimize(t).minimal)
 
 
 def test_observe_agrees_with_brute_force_rows():
-    rng = random.Random(24)
-    for monoid in standard_monoids().values():
-        for _ in range(10):
-            t = random_machine(monoid, rng, max_states=4, max_letters=2)
-            pushed = prefix(total(reach(t)))
-            _, representatives = observe(pushed)
-            words = list(words_up_to(pushed.alphabet, 6))
-            rows = {
-                s: red_row(monoid, tuple(state_eval(pushed, s, w) for w in words))
-                for s in pushed.states
-            }
-            for s1 in pushed.states:
-                for s2 in pushed.states:
-                    merged = representatives[s1] == representatives[s2]
-                    assert merged == (rows[s1] == rows[s2]), (monoid.kind, s1, s2)
+    for t in draws(24, 10, max_states=4, max_letters=2):
+        pushed = prefix(total(reach(t)))
+        _, representatives = observe(pushed)
+        words = list(words_up_to(pushed.alphabet, 6))
+        rows = {
+            s: red_row(t.monoid, tuple(state_eval(pushed, s, w) for w in words)) for s in pushed.states
+        }
+        for s1 in pushed.states:
+            for s2 in pushed.states:
+                merged = representatives[s1] == representatives[s2]
+                assert merged == (rows[s1] == rows[s2]), (t.monoid.kind, s1, s2)
 
 
 def test_check_minimal_examples():

@@ -20,7 +20,6 @@ from montrans import (
     check_minimal,
     equivalence_oracle,
     iso_check,
-    learn,
     membership_oracle,
     minimize,
     mul_partial,
@@ -32,8 +31,10 @@ from montrans.errors import UnknownLetter
 from helpers import (
     beta_loop,
     chain,
+    draws,
     equivalence_certificate_faults,
     equivalent_pair,
+    learned,
     learning_target,
     load_machine,
     rank_one,
@@ -160,7 +161,7 @@ def test_equivalence_oracle_never_minimizes(monkeypatch, tmp_path):
     real = stages.state_lgcds
     monkeypatch.setattr(stages, "state_lgcds", lambda *args: calls.append(args) or real(*args))
     target = learning_target()
-    _, stats = learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    _, stats = learned(target)
     assert stats.equivalence_queries == 2
     left, right = equivalent_pair(target.monoid, random.Random(7))
     argv = ["equiv"]
@@ -182,7 +183,7 @@ def test_equivalence_oracle_makes_no_structural_check(monkeypatch):
             montrans.oracle, name, lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args)
         )
     target = learning_target()
-    _, stats = learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    _, stats = learned(target)
     assert stats.equivalence_queries == 2
     assert calls == []
 
@@ -194,7 +195,7 @@ def test_equivalence_oracle_trims_only_the_reference(monkeypatch):
     real = Transducer.productive_states
     monkeypatch.setattr(Transducer, "productive_states", lambda self: calls.append(self) or real(self))
     target = learning_target()
-    _, stats = learn(target.monoid, target.alphabet, target.eval, equivalence_oracle(target))
+    _, stats = learned(target)
     assert stats.equivalence_queries == 2
     assert len(calls) == 1 and calls[0] is target
 
@@ -336,22 +337,16 @@ def test_equivalence_oracle_trimmed_walk_matches_minimal_walk():
 def test_equivalence_oracle_on_learner_hypotheses_needs_no_minimization():
     """Every learner hypothesis is minimal already, and the oracle's verdict
     on it, walked as built, is the verdict on its minimization."""
-    rng = random.Random(37)
-    targets = [learning_target()] + [
-        random_machine(monoid, rng, max_states=6, max_letters=3)
-        for monoid in standard_monoids().values()
-        for _ in range(20)
-    ]
     shifted = 0  # cyclic-group hypotheses with a non-unit state left-gcd
-    for target in targets:
+    for target in [learning_target(), *draws(37, 20)]:
         hypotheses = []
 
         def observer(event, payload):
             if event == "hypothesis":
                 hypotheses.append(payload)
 
+        learned(target, observer=observer)
         oracle = equivalence_oracle(target)
-        learn(target.monoid, target.alphabet, target.eval, oracle, observer=observer)
         min_ref = minimize(target).minimal
         for h in hypotheses:
             assert check_minimal(h)
@@ -472,18 +467,15 @@ def test_iso_check_group_scaling():
 
 
 def test_iso_check_symmetric_and_matches_brute_force():
-    rng = random.Random(41)
-    for monoid in standard_monoids().values():
-        for _ in range(10):
-            t1 = minimize(random_machine(monoid, rng, max_states=4, max_letters=2)).minimal
-            t2 = minimize(random_machine(monoid, rng, max_states=4, max_letters=2)).minimal
-            if t1.alphabet != t2.alphabet:
-                continue
-            forward = iso_check(t1, t2)
-            backward = iso_check(t2, t1)
-            assert (forward is None) == (backward is None)
-            bound = len(t1.states) + len(t2.states) + 2
-            assert (forward is not None) == (brute_force_diff(t1, t2, bound) is None)
+    drawn = [minimize(t).minimal for t in draws(41, 20, max_states=4, max_letters=2)]
+    for t1, t2 in zip(drawn[::2], drawn[1::2]):
+        if t1.alphabet != t2.alphabet:
+            continue
+        forward = iso_check(t1, t2)
+        backward = iso_check(t2, t1)
+        assert (forward is None) == (backward is None)
+        bound = len(t1.states) + len(t2.states) + 2
+        assert (forward is not None) == (brute_force_diff(t1, t2, bound) is None)
 
 
 def test_iso_check_on_equivalent_pairs():

@@ -12,9 +12,9 @@ from types import ModuleType
 
 import montrans
 import montrans.errors
-from montrans import equivalence_oracle, learn, membership_oracle, minimize
+from montrans import minimize
 
-from helpers import learning_target
+from helpers import learned, learning_target
 
 ROOT = Path(__file__).parents[1]
 
@@ -58,13 +58,7 @@ def test_every_error_class_is_public():
 def test_returned_types_are_the_public_names():
     target = learning_target()
     events = []
-    machine, stats = learn(
-        target.monoid,
-        target.alphabet,
-        membership_oracle(target),
-        equivalence_oracle(target),
-        observer=lambda kind, payload: events.append((kind, payload)),
-    )
+    machine, stats = learned(target, observer=lambda kind, payload: events.append((kind, payload)))
     assert type(stats) is montrans.LearnStats
     assert type(minimize(machine)) is montrans.StagedMinimization
     defects = [payload for kind, payload in events if kind == "defect"]
@@ -93,3 +87,26 @@ def test_every_private_module_name_is_used():
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert private, "no private module-level names found"
     assert not private - read, sorted(private - read)
+
+
+def test_every_helper_is_called_from_a_test_module():
+    """Each public function of ``helpers.py`` is read in some test module;
+    an import alone does not count."""
+    here = Path(__file__).parent
+    helpers = ast.parse((here / "helpers.py").read_text(encoding="utf-8"))
+    functions = (node for node in helpers.body if isinstance(node, ast.FunctionDef))
+    public = {node.name for node in functions if not node.name.startswith("_")}
+    read = {
+        node.id
+        for path in here.glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert {"draws", "corpus_targets", "learned"} <= public
+    assert not public - read, sorted(public - read)
+
+
+def test_project_version_is_the_package_version():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.M)
+    assert version == montrans.__version__

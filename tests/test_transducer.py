@@ -23,8 +23,6 @@ from montrans import (
     UnknownLetter,
     check_minimal,
     deserialize,
-    equivalence_oracle,
-    learn,
     minimize,
     mul_partial,
     parse_word,
@@ -33,7 +31,7 @@ from montrans import (
 
 from montrans.cli import main
 
-from helpers import DATA, beta_loop, chain, load_machine, state_eval, words_up_to
+from helpers import DATA, beta_loop, chain, draws, learned, load_machine, state_eval, words_up_to
 from workloads import random_element, random_machine, standard_monoids
 
 
@@ -319,11 +317,9 @@ def test_assembled_machines_equal_checked_construction(monkeypatch):
     minimize_module = importlib.import_module("montrans.minimize")
     for module in (montrans.transducer, montrans.learner, minimize_module):
         monkeypatch.setattr(module, "_assemble", checked(module))
-    rng = random.Random(40)
+    for target in draws(40, 10):
+        learned(target)
     for monoid in standard_monoids().values():
-        for _ in range(10):
-            target = random_machine(monoid, rng, max_states=6, max_letters=3)
-            learn(monoid, target.alphabet, target.eval, equivalence_oracle(target))
         for reset in (False, True):
             assert check_minimal(minimize(chain(monoid, 12, 3, reset=reset)).minimal)
     for path in sorted(DATA.glob("*.json")):
@@ -377,12 +373,9 @@ def test_json_text_matches_stdlib_indent(tree):
 
 
 def test_serialize_matches_stdlib_indent():
-    rng = random.Random(72)
-    for monoid in standard_monoids().values():
-        for _ in range(10):
-            machine = random_machine(monoid, rng, max_states=4, alphabet=("a", "b"))
-            expected = json.dumps(machine.to_doc(), ensure_ascii=False, indent=2) + "\n"
-            assert machine.serialize() == expected
+    for machine in draws(72, 10, max_states=4, alphabet=("a", "b")):
+        expected = json.dumps(machine.to_doc(), ensure_ascii=False, indent=2) + "\n"
+        assert machine.serialize() == expected
 
 
 def test_deserialize_schema_errors(machine, tmp_path):
@@ -581,15 +574,7 @@ json_values = st.recursive(
 )
 
 
-def _valid_documents() -> list:
-    rng = random.Random(71)
-    return [
-        json.loads(random_machine(monoid, rng, max_states=3, alphabet=("a", "b")).serialize())
-        for monoid in standard_monoids().values()
-    ]
-
-
-VALID_DOCUMENTS = _valid_documents()
+VALID_DOCUMENTS = [json.loads(t.serialize()) for t in draws(71, 1, max_states=3, alphabet=("a", "b"))]
 
 
 def _paths(node, path=()):
