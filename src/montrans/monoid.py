@@ -281,33 +281,25 @@ class TraceMonoid(_WordMonoid):
             out.insert(at, c)
         return tuple(out)
 
-    def _front_index(self, seq: list[str], g: str) -> Optional[int]:
-        # g can be pulled to the front iff everything before its first
-        # occurrence commutes with it.
-        commuting = self._commuting[g]
-        for i, c in enumerate(seq):
-            if c == g:
-                return i
-            if c not in commuting:
-                return None
-        return None
-
     def _peel(self, x, y) -> tuple[tuple[str, ...], list[str], list[str]]:
         """``(g, x', y')`` with ``g = lgcd(x, y)``, ``x = g·x'`` and ``y = g·y'``;
         the rests are words of their traces, not necessarily normal.
 
         One pass over ``x``: a letter joins ``g`` when it commutes with every
-        letter left in ``x'`` and can be brought to the front of ``y'``.  A
-        letter left behind never could later: its blocker in ``x'`` stays, and
-        one in ``y'`` depends on it and follows it in ``x``, so stays too.
-        ``g`` is a downward-closed subsequence of the normal word ``x``, so it
-        is normal."""
+        letter left in ``x'`` and can be brought to the front of ``y'``, that
+        is, ``ry.index`` finds its first occurrence in ``y'`` and every letter
+        before it is in the letter's commuting set; that occurrence leaves
+        ``y'``.  A letter left behind never could later: its blocker in ``x'``
+        stays, and one in ``y'`` depends on it and follows it in ``x``, so
+        stays too.  ``g`` is a downward-closed subsequence of the normal word
+        ``x``, so it is normal."""
         # lgcd(p·x, p·y) = p·lgcd(x, y), p the common word prefix.
         n = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), min(len(x), len(y)))
         out, rx, ry, left = list(x[:n]), [], list(y[n:]), set()
         for c in x[n:]:
-            j = self._front_index(ry, c) if left <= self._commuting[c] else None
-            if j is None:
+            commuting = self._commuting[c]
+            j = ry.index(c) if left <= commuting and c in ry else None
+            if j is None or not commuting.issuperset(ry[:j]):
                 rx.append(c)
                 left.add(c)
             else:

@@ -184,12 +184,13 @@ def test_minimize_already_minimal_round_trips(tmp_path):
 
 def test_learn_target_writes_minimal_machine(tmp_path, capsys):
     out = tmp_path / "learned.json"
-    assert main(["learn", "--target", TARGET, "-o", str(out), "--stats"]) == 0
+    assert main(["learn", "--target", TARGET, "-o", str(out), "--stats", "--dot"]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["equivalence_queries"] == 2
     learned = deserialize(out.read_text(encoding="utf-8"))
     assert check_minimal(learned)
     assert iso_check(minimize(learning_target()).minimal, learned) is not None
+    assert (tmp_path / "learned.json.dot").read_text(encoding="utf-8") == learned.to_dot()
 
 
 def test_learn_commutative_loop_gives_single_state(tmp_path):
@@ -238,7 +239,10 @@ def test_equiv_brute_force_mode(capsys):
     assert main(["equiv", "--left", TARGET, "--right", HYPOTHESIS, "--max-len", "1"]) == 0
     assert capsys.readouterr().out == "equivalent\n"
     assert main(["equiv", "--left", TARGET, "--right", HYPOTHESIS, "--max-len", "8"]) == 1
-    assert capsys.readouterr().out.splitlines()[0] == "bb"
+    eight = capsys.readouterr().out
+    assert eight.splitlines()[0] == "bb"
+    assert main(["equiv", "--left", TARGET, "--right", HYPOTHESIS, "--max-len"]) == 1
+    assert capsys.readouterr().out == eight
 
 
 def test_equiv_negative_max_len_exits_2(capsys):

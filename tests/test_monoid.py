@@ -291,10 +291,30 @@ def test_trace_normal_forms_of_long_words(trace):
         assert trace_normal_form_faults(trace, trace.mul(x, y), word + other) == [], (x, y)
 
 
-@pytest.mark.parametrize("trace", TRACES, ids=["standard", "four-letter"])
-def test_trace_peel_of_long_words(trace):
+#: ``(x, y, _peel(x, y))`` by hand: a letter absent from ``y'``, a first
+#: occurrence behind a non-commuting letter, and one behind only commuting
+#: letters, which leaves ``y'`` while the later occurrence stays.
+PEELS = [
+    [
+        (("γ",), ("α", "β"), ((), ["γ"], ["α", "β"])),
+        (("β",), ("γ", "β"), ((), ["β"], ["γ", "β"])),
+        (("β",), ("α", "β", "γ", "β"), (("β",), [], ["α", "γ", "β"])),
+    ],
+    [
+        (("d",), ("a", "b"), ((), ["d"], ["a", "b"])),
+        (("c",), ("b", "c"), ((), ["c"], ["b", "c"])),
+        (("c",), ("a", "c", "b", "c"), (("c",), [], ["a", "b", "c"])),
+    ],
+]
+
+
+@pytest.mark.parametrize("trace, peels", zip(TRACES, PEELS), ids=["standard", "four-letter"])
+def test_trace_peel_of_long_words(trace, peels):
     """The peel splits long words into their left-gcd and two rests with no
     common front generator, so the left-gcd is the greatest one."""
+    for x, y, peeled in peels:
+        assert trace.canonical(x) == x and trace.canonical(y) == y
+        assert trace._peel(x, y) == peeled, (x, y)
     rng = random.Random(53)
 
     def random_word(n):

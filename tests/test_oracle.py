@@ -467,15 +467,17 @@ def test_iso_check_group_scaling():
 
 
 def test_iso_check_symmetric_and_matches_brute_force():
-    drawn = [minimize(t).minimal for t in draws(41, 20, max_states=4, max_letters=2)]
-    for t1, t2 in zip(drawn[::2], drawn[1::2]):
-        if t1.alphabet != t2.alphabet:
-            continue
-        forward = iso_check(t1, t2)
-        backward = iso_check(t2, t1)
-        assert (forward is None) == (backward is None)
-        bound = len(t1.states) + len(t2.states) + 2
-        assert (forward is not None) == (brute_force_diff(t1, t2, bound) is None)
+    rng = random.Random(41)
+    for monoid in standard_monoids().values():
+        for _ in range(10):
+            first = random_machine(monoid, rng, max_states=4, max_letters=2)
+            second = random_machine(monoid, rng, max_states=4, alphabet=first.alphabet)
+            t1, t2 = minimize(first).minimal, minimize(second).minimal
+            forward = iso_check(t1, t2)
+            backward = iso_check(t2, t1)
+            assert (forward is None) == (backward is None)
+            bound = len(t1.states) + len(t2.states) + 2
+            assert (forward is not None) == (brute_force_diff(t1, t2, bound) is None)
 
 
 def test_iso_check_on_equivalent_pairs():
