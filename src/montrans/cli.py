@@ -4,7 +4,9 @@ Subcommands: ``eval``, ``minimize``, ``learn``, ``equiv`` and
 ``demo nontermination``.  Exit codes: 0 success / equivalent, 1
 counterexample found, 2 error (bad file, unknown letter, ...), 3 undefined
 evaluation result, 4 learning budget exceeded.  Output files are written
-only after the command's computation has succeeded.
+only after the command's computation has succeeded, and an output file that
+already holds exactly the bytes to be written is left untouched, mtime
+included.
 
 ``main`` may be called any number of times in one process; the argument
 parser is built on the first call and shared by the later ones.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import stat
 import sys
 from pathlib import Path
 
@@ -40,7 +43,19 @@ def _load(path: str) -> Transducer:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    """Write ``text`` to ``path`` as UTF-8, unless ``path`` is a regular file
+    that already holds exactly those bytes: then it keeps its inode and
+    mtime, and no truncate-and-rewrite forces a flush on close (ext4 does).
+    Only a regular file is read, so ``-o /dev/stdout`` is written as before."""
+    data = text.encode("utf-8")
+    target = Path(path)
+    try:
+        info = target.stat()
+        if stat.S_ISREG(info.st_mode) and info.st_size == len(data) and target.read_bytes() == data:
+            return
+    except OSError:
+        pass  # missing or unreadable: the write below runs, and fails as it would have
+    target.write_bytes(data)
 
 
 def _emit_machine(machine: Transducer, output: str, dot: bool) -> None:

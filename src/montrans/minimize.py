@@ -26,8 +26,6 @@ from .errors import IterationBudgetExceeded
 from .monoid import Element, PartialValue, left_divide_partial, lgcd_family, mul_partial
 from .transducer import Transducer, _assemble
 
-DEFAULT_ITERATION_CAP = 10_000
-
 
 @dataclass(frozen=True)
 class StagedMinimization:
@@ -85,6 +83,17 @@ def total(t: Transducer) -> Transducer:
     return _restrict(t, {s: s for s in t.productive_states()})
 
 
+def _round_cap(t: Transducer) -> int:
+    """``n + n·(n+1)·R + 1`` for ``n`` states, ``R`` the largest rank of an
+    output or termination.  Each round of ``state_lgcds`` but the last
+    defines a state (within ``n`` rounds) or lowers the rank of a defined
+    value, at most ``(n+1)·R`` when first defined, unless ranks misbehave."""
+    values = [*t.termination.values(), *(out for out, _ in t.transitions.values())]
+    R = max((t.monoid.rank(v) for v in values if v is not None), default=0)
+    n = len(t.states)
+    return n + n * (n + 1) * R + 1
+
+
 def state_lgcds(t: Transducer) -> dict[str, PartialValue]:
     """Left-gcd of each state's recognized function, by fixpoint iteration.
 
@@ -92,14 +101,15 @@ def state_lgcds(t: Transducer) -> dict[str, PartialValue]:
     termination with ``output · current(target)`` over its transitions.  The
     iteration stops once consecutive rounds differ only by an invertible
     right factor everywhere (for the trivially-invertible monoids: are
-    equal).  Right-noetherianity of the shipped monoids bounds the number of
-    strictly-decreasing rounds; the cap guards against misbehaving instances.
+    equal).  ``_round_cap`` bounds the rounds for any monoid whose ranks add
+    up and are 0 exactly on invertibles; the cap stops misbehaving instances.
 
     States recognizing ``⊥`` everywhere keep the value ``None``.
     """
     m = t.monoid
+    cap = _round_cap(t)
     current: dict[str, PartialValue] = {s: t.termination[s] for s in t.states}
-    for _ in range(DEFAULT_ITERATION_CAP):
+    for _ in range(cap):
         nxt: dict[str, PartialValue] = {}
         for s in t.states:
             row = [t.termination[s]]
@@ -118,7 +128,8 @@ def state_lgcds(t: Transducer) -> dict[str, PartialValue]:
             return nxt
         current = nxt
     raise IterationBudgetExceeded(
-        f"state left-gcds did not stabilize within {DEFAULT_ITERATION_CAP} rounds"
+        f"state left-gcds did not stabilize within {cap} rounds, the bound"
+        " n + n·(n+1)·R + 1 for n states and R the largest rank of an output or termination"
     )
 
 

@@ -145,6 +145,29 @@ def words_up_to(alphabet: tuple[str, ...], n: int):
             frontier.extend(w + (a,) for a in alphabet)
 
 
+def elements_up_to(monoid: Monoid, r: int) -> list:
+    """Every canonical element of rank at most ``r``, once each, as products
+    of at most ``r`` generators, by rank (for a cyclic group, whose elements
+    all have rank 0: every residue)."""
+    if isinstance(monoid, CyclicGroup):
+        return list(range(monoid.modulus))
+    gens = [1] if isinstance(monoid, NatAddMonoid) else [monoid.parse(g) for g in monoid.generators]
+    found = {monoid.unit(): None}
+    layer = list(found)
+    for _ in range(r):
+        layer = list(dict.fromkeys(monoid.mul(x, g) for x in layer for g in gens))
+        found.update(dict.fromkeys(layer))
+    return list(found)
+
+
+def left_divisors(monoid: Monoid, x) -> list:
+    """Every ``d`` with ``d·v = x`` for some ``v``, found with ``mul`` alone
+    among the elements of rank at most ``rank(x)``, which hold every factor
+    of ``x`` when ranks add up over products."""
+    candidates = elements_up_to(monoid, monoid.rank(x))
+    return [d for d in candidates if any(monoid.mul(d, v) == x for v in candidates)]
+
+
 def rank_one(monoid: Monoid, i: int):
     """The ``i``-th of a fixed cycle of rank-one elements (for a cyclic
     group: of non-unit residues)."""

@@ -129,6 +129,61 @@ def test_minimize_emit_stages(tmp_path):
     assert dot.startswith("digraph transducer {")
 
 
+#: A fixed past mtime (2001-09-09), which no write during a test can give.
+PAST_NS = 1_000_000_000 * 10**9
+
+
+def test_rerun_leaves_unchanged_outputs_alone(tmp_path):
+    out = tmp_path / "m.json"
+    argv = ["minimize", "--machine", BETA_LOOP_COMMUTATIVE, "-o", str(out), "--emit-stages", "--dot"]
+    assert main(argv) == 0
+    suffixes = ("", ".dot", ".reach.json", ".total.json", ".prefix.json", ".witnesses.json")
+    outputs = [Path(str(out) + suffix) for suffix in suffixes]
+    assert sorted(tmp_path.iterdir()) == sorted(outputs)
+    for path in outputs:
+        os.utime(path, ns=(PAST_NS, PAST_NS))
+    before = [(path.stat().st_ino, path.stat().st_mtime_ns) for path in outputs]
+    assert main(argv) == 0
+    assert [(path.stat().st_ino, path.stat().st_mtime_ns) for path in outputs] == before
+    assert {mtime for _, mtime in before} == {PAST_NS}
+
+
+@pytest.mark.parametrize(
+    "stale",
+    [
+        None,  # missing: the output is created
+        lambda new: new[: len(new) // 2],  # the new bytes extend the old file
+        lambda new: new + b"{}\n",  # the new bytes are shorter than the old file
+        lambda new: new.replace(b'"1"', b'"2"'),  # same length, other bytes
+    ],
+    ids=["missing", "extends", "shorter", "same-length"],
+)
+def test_changed_output_is_rewritten(tmp_path, stale):
+    out = tmp_path / "m.json"
+    expected = Path(MINIMAL_COMMUTATIVE).read_bytes()
+    if stale is not None:
+        out.write_bytes(stale(expected))
+        os.utime(out, ns=(PAST_NS, PAST_NS))
+    assert main(["minimize", "--machine", BETA_LOOP_COMMUTATIVE, "-o", str(out)]) == 0
+    assert out.read_bytes() == expected
+    assert out.stat().st_mtime_ns != PAST_NS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minimize", "--machine", BETA_LOOP, "-o"],
+        ["learn", "--target", TARGET, "-o"],
+    ],
+)
+def test_directory_at_output_path_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    out.mkdir()
+    assert main([*argv, str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.is_dir() and not any(out.iterdir())
+
+
 def _stdlib_rendering(text: str) -> str:
     return json.dumps(json.loads(text), ensure_ascii=False, indent=2) + "\n"
 

@@ -39,7 +39,8 @@ def test_state_lgcds_iteration_cap_on_misbehaving_instance():
         termination={"s": 1},
         transitions={("s", "a"): (1, "s")},
     )
-    with pytest.raises(IterationBudgetExceeded):
+    # one state, largest rank 1: the cap is 1 + 1·2·1 + 1 rounds
+    with pytest.raises(IterationBudgetExceeded, match="within 4 rounds"):
         state_lgcds(machine)
 
 

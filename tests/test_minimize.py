@@ -299,6 +299,23 @@ def test_chains_minimize_to_closed_form(reset, n):
             assert brute_force_diff(minimal, t, 6) is None, (monoid.kind, twins)
 
 
+@pytest.mark.parametrize("reset", [False, True])
+def test_state_lgcds_round_cap_exceeds_the_rounds_on_chains(monkeypatch, reset):
+    """The derived cap stays above the rounds the fixpoint runs (about
+    0.75·n) on chains of up to 200 states, cyclic group included, whose
+    cap ``n + 1`` has no rank term."""
+    folds = []
+    fold = minimize_module.lgcd_family
+    monkeypatch.setattr(minimize_module, "lgcd_family", lambda m, row: folds.append(row) or fold(m, row))
+    for monoid in standard_monoids().values():
+        for n in (50, 100, 200):
+            t = chain(monoid, n, n // 4, reset)
+            folds.clear()
+            state_lgcds(t)
+            rounds, rest = divmod(len(folds), n)
+            assert rest == 0 and n // 2 < rounds < minimize_module._round_cap(t), (monoid.kind, n)
+
+
 def test_check_minimal_cyclic_group_non_unit_lgcds():
     z3 = CyclicGroup(3)
     # minimal, with state left-gcds 1 and 2

@@ -26,7 +26,14 @@ from montrans import (
 )
 from montrans.errors import SchemaError
 
-from helpers import brute_trace_lgcd, inverse, trace_class, trace_normal_form_faults
+from helpers import (
+    brute_trace_lgcd,
+    elements_up_to,
+    inverse,
+    left_divisors,
+    trace_class,
+    trace_normal_form_faults,
+)
 from workloads import random_element, standard_monoids
 
 MONOIDS = standard_monoids()
@@ -516,6 +523,50 @@ def test_law_rank_additivity(monoid):
         assert total <= monoid.rank(x) + monoid.rank(y)
         if not isinstance(monoid, CyclicGroup):
             assert total == monoid.rank(x) + monoid.rank(y)
+
+
+# -- the paper's conditions, exhaustively in small scope ------------------------------
+
+#: Every element of rank at most this is checked (every residue for the cyclic group).
+SMALL_RANK = 3
+
+
+def test_small_scope_lgcd_is_the_greatest_common_left_divisor(monoid):
+    elements = elements_up_to(monoid, SMALL_RANK)
+    divisors = {x: set(left_divisors(monoid, x)) for x in elements}
+    for x in elements:
+        for y in elements:
+            g = monoid.lgcd2(x, y)
+            common = divisors[x] & divisors[y]
+            assert g in common, (x, y, g)
+            assert common <= set(left_divisors(monoid, g)), (x, y, g)
+
+
+def test_small_scope_division_agrees_with_enumeration(monoid):
+    elements = elements_up_to(monoid, SMALL_RANK)
+    for x in elements:
+        divisors = left_divisors(monoid, x)
+        for d in elements:
+            assert monoid.divides(d, x) == (d in divisors), (d, x)
+            if d in divisors:
+                v = monoid.left_divide(d, x)
+                assert v in elements and monoid.mul(d, v) == x, (d, x, v)
+            else:
+                with pytest.raises(NotDivisible):
+                    monoid.left_divide(d, x)
+
+
+def test_small_scope_left_cancellation_and_ranks(monoid):
+    elements = elements_up_to(monoid, SMALL_RANK)
+    assert len(set(elements)) == len(elements)
+    for x in elements:
+        assert monoid.rank(x) <= SMALL_RANK and (monoid.rank(x) == 0) == monoid.is_invertible(x)
+    for d in elements:
+        first = {}
+        for x in elements:
+            dx = monoid.mul(d, x)
+            assert first.setdefault(dx, x) == x, (d, x)  # d·x = d·y only for x = y
+            assert monoid.rank(dx) == monoid.rank(d) + monoid.rank(x), (d, x)
 
 
 # -- hypothesis spot checks ----------------------------------------------------

@@ -92,6 +92,44 @@ def test_every_private_module_name_is_used():
     assert not private - read, sorted(private - read)
 
 
+def _opens_for_writing(call: ast.Call) -> bool:
+    """``open(file, mode)`` or ``path.open(mode)`` with a mode that writes,
+    or one that is not a literal and so cannot be shown to only read."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    position = 0 if isinstance(func, ast.Attribute) else 1
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[position : position + 1]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+
+
+def test_only_cli_write_writes_files():
+    """No call in the package writes a file outside ``cli._write``, so every
+    output shares its rule: bytes already at the path are left alone."""
+    writers = []
+    for path in sorted((ROOT / "src" / "montrans").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {
+            id(node)
+            for fn in tree.body
+            if path.name == "cli.py" and isinstance(fn, ast.FunctionDef) and fn.name == "_write"
+            for node in ast.walk(fn)
+        }
+        assert exempt or path.name != "cli.py", "cli._write not found"
+        writers += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in exempt and _opens_for_writing(node)
+        ]
+    assert not writers, writers
+    probes = ["open(p, 'w')", "p.open('a')", "open(p, mode=m)", "p.write_text(s)", "p.write_bytes(b)"]
+    assert all(_opens_for_writing(ast.parse(code).body[0].value) for code in probes)
+    assert not any(_opens_for_writing(ast.parse(code).body[0].value) for code in ("open(p)", "p.open('rb')"))
+
+
 def test_every_helper_is_called_from_a_test_module():
     """Each public function of ``helpers.py`` is read in some test module;
     an import alone does not count."""
